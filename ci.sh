@@ -14,10 +14,10 @@
 # adaptive control-plane smoke (EXT-13, asserts
 # BENCH_adapt.json is produced and claims adaptive dominance), the
 # critical-path blame smoke (EXT-16, asserts BENCH_blame.json is produced
-# with the exposed-communication claim holding), and a telemetry-off
-# byte-identity check (fresh weak-scaling CSVs must match the committed
-# results/ bodies exactly). Run from the repo root. Fails fast on the
-# first broken step.
+# with the exposed-communication claim holding), and a byte-identity check
+# (fresh table1/fig5/fig7/chaos/blame/pipeline artifacts must match the
+# committed results/ files exactly). Run from the repo root. Fails fast on
+# the first broken step.
 set -eu
 
 cargo fmt --all -- --check
@@ -164,14 +164,21 @@ if grep -q '"exposed_comm_eliminated": false' "$wc_dir/BENCH_blame.json"; then
 fi
 grep -q '"exposed_comm_eliminated": true' "$wc_dir/BENCH_blame.json"
 
-# Observability must be inert when off: rerunning the weak-scaling family
-# with no telemetry/blame enabled must reproduce the committed CSV bodies
-# byte for byte.
-cargo run --release -p bench-harness --offline -- table1 --out-dir "$wc_dir" > /dev/null
-cargo run --release -p bench-harness --offline -- fig5 --out-dir "$wc_dir" > /dev/null
-for f in table1.csv fig5.csv; do
-    cmp -s "$wc_dir/$f" "results/$f" || {
-        echo "ci: results/$f drifted from a fresh telemetry-off run" >&2
+# Observability must be inert when off, and every executor path must
+# reproduce the committed artifacts byte for byte: table1/fig5 (plain DGX
+# executors, telemetry off), fig7, chaos (resilient PGAS and baseline_only
+# under faults, fallible collectives), blame (gateway transport,
+# hierarchical schedule and blame hooks at paper scale) and pipeline (the
+# logged executors through the dlrm engine).
+fresh_dir="$wc_dir/fresh"
+mkdir -p "$fresh_dir"
+for exp in table1 fig5 fig7 chaos blame pipeline; do
+    cargo run --release -p bench-harness --offline -- "$exp" --out-dir "$fresh_dir" > /dev/null
+done
+for f in table1.csv fig5.csv fig7.csv chaos.csv blame.csv BENCH_blame.json \
+    blame_folded.txt pipeline.csv; do
+    cmp -s "$fresh_dir/$f" "results/$f" || {
+        echo "ci: results/$f drifted from a fresh run" >&2
         exit 1
     }
 done

@@ -5,13 +5,27 @@
 //! from timings alone, so the bench binary installs this wrapper around the
 //! system allocator and reports the allocation-count delta across a warmed
 //! hot-path run (`steady_allocs` in `BENCH_wallclock.json`).
+//!
+//! Counts are kept per thread, so a region measured on one thread is not
+//! disturbed by other threads allocating concurrently (the test harness
+//! runs tests in parallel). A region that hands work to pool workers must
+//! show it dispatched nothing (`rayon::local_pool_stats`) for its count to
+//! cover everything it did.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// [`System`] plus a process-wide counter of allocation entry points
+/// Count one allocation entry point on the calling thread. `try_with`:
+/// the allocator can run while the thread's locals are being torn down.
+fn count() {
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// [`System`] plus a per-thread counter of allocation entry points
 /// (`alloc`, `alloc_zeroed`, `realloc`). Frees are not counted: the claim
 /// under test is "no new memory requested per batch".
 pub struct CountingAlloc;
@@ -20,7 +34,7 @@ pub struct CountingAlloc;
 // returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,12 +43,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,10 +56,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocation calls made by the process so far. Subtract two readings to
-/// count allocations across a region.
+/// Allocation calls made by the calling thread so far. Subtract two
+/// readings to count the thread's allocations across a region.
 pub fn alloc_count() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
+    ALLOC_CALLS.try_with(Cell::get).unwrap_or(0)
 }
 
 #[cfg(test)]

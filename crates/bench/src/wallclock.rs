@@ -116,9 +116,9 @@ fn sweep(
             .num_threads(w)
             .build()
             .expect("build thread pool");
-        let dispatched_before = rayon::pool_stats().dispatched_runs;
+        let dispatched_before = rayon::local_pool_stats().dispatched_runs;
         let (secs, out) = pool.install(|| best_of(reps, f));
-        inline_degraded.push(rayon::pool_stats().dispatched_runs == dispatched_before);
+        inline_degraded.push(rayon::local_pool_stats().dispatched_runs == dispatched_before);
         match &reference {
             None => reference = Some(out),
             Some(r) => {
@@ -334,7 +334,9 @@ pub fn run_wallclock(smoke: bool) -> WallclockReport {
         let mut bench = sweep("arena_reuse", &threads, reps, &mut f);
         // Steady-state allocation count: warm every slab (and `sink`'s
         // capacity), then measure one serial repetition. Width 1 pins the
-        // inline path so the count is host-independent.
+        // inline path so the count is host-independent, and the per-thread
+        // count covers the whole repetition only if nothing ran on a pool
+        // worker.
         let pool = ThreadPoolBuilder::new()
             .num_threads(1)
             .build()
@@ -342,8 +344,15 @@ pub fn run_wallclock(smoke: bool) -> WallclockReport {
         bench.steady_allocs = Some(pool.install(|| {
             run_once(&mut sink);
             let before = crate::alloc_count();
+            let dispatched_before = rayon::local_pool_stats().dispatched_runs;
             run_once(&mut sink);
-            crate::alloc_count() - before
+            let allocs = crate::alloc_count() - before;
+            assert_eq!(
+                rayon::local_pool_stats().dispatched_runs,
+                dispatched_before,
+                "the measured width-1 repetition dispatched to pool workers"
+            );
+            allocs
         }));
         benches.push(bench);
     }

@@ -1,6 +1,14 @@
 //! `all_to_all_single` — the baseline's layout-conversion collective.
+//!
+//! Each algorithm's schedule exists once, generic over the wire primitive
+//! it books transfers with: [`all_to_all_timed`] passes the infallible
+//! [`Machine::send_throttled`], [`try_all_to_all_timed`] the retrying
+//! [`Machine::try_send_retry`]. On a clean fabric the two book the same
+//! intervals in the same order.
 
-use desim::SimTime;
+use std::convert::Infallible;
+
+use desim::{Interval, SimTime};
 use gpusim::{FabricError, Machine};
 
 use crate::{d2d_copy_time, Algorithm, CollectiveConfig, WorkHandle, ELEM_BYTES};
@@ -45,10 +53,37 @@ pub fn all_to_all_varied(
     send_counts: &[Vec<usize>],
     ready: &[SimTime],
 ) -> (Vec<Vec<f32>>, WorkHandle) {
+    let bytes = count_bytes(machine, inputs, send_counts);
+    let work = all_to_all_timed(machine, cfg, &bytes, ready);
+    (shuffle_functional(inputs, send_counts), work)
+}
+
+/// Fault-aware [`all_to_all_varied`]: same functional output, fallible
+/// timing. Functional delivery is computed first — under retries every row
+/// still arrives, only later; rows are abandoned only if the collective
+/// errors, and then the caller decides what to degrade.
+pub fn try_all_to_all_varied(
+    machine: &mut Machine,
+    cfg: &CollectiveConfig,
+    inputs: &[Vec<f32>],
+    send_counts: &[Vec<usize>],
+    ready: &[SimTime],
+) -> Result<(Vec<Vec<f32>>, WorkHandle), FabricError> {
+    let bytes = count_bytes(machine, inputs, send_counts);
+    let work = try_all_to_all_timed(machine, cfg, &bytes, ready)?;
+    Ok((shuffle_functional(inputs, send_counts), work))
+}
+
+/// Validate a varied all-to-all's shapes and convert its element counts to
+/// the byte matrix the timed schedules take.
+fn count_bytes(
+    machine: &Machine,
+    inputs: &[Vec<f32>],
+    send_counts: &[Vec<usize>],
+) -> Vec<Vec<u64>> {
     let n = machine.n_gpus();
     assert_eq!(inputs.len(), n, "one input buffer per device");
     assert_eq!(send_counts.len(), n, "one send-count row per device");
-    assert_eq!(ready.len(), n, "one ready time per device");
     for (i, row) in send_counts.iter().enumerate() {
         assert_eq!(row.len(), n, "send_counts[{i}] must have {n} columns");
         let total: usize = row.iter().sum();
@@ -58,17 +93,10 @@ pub fn all_to_all_varied(
             "send_counts[{i}] must cover the whole input"
         );
     }
-
-    // ---- Functional data movement (algorithm-independent). ----
-    let outputs = shuffle_functional(inputs, send_counts);
-
-    // ---- Timed wire traffic. ----
-    let bytes: Vec<Vec<u64>> = send_counts
+    send_counts
         .iter()
         .map(|row| row.iter().map(|&c| c as u64 * ELEM_BYTES).collect())
-        .collect();
-    let work = all_to_all_timed(machine, cfg, &bytes, ready);
-    (outputs, work)
+        .collect()
 }
 
 /// Timing-only `all_to_all`: simulate the wire traffic for a byte matrix
@@ -81,19 +109,58 @@ pub fn all_to_all_timed(
     send_bytes: &[Vec<u64>],
     ready: &[SimTime],
 ) -> WorkHandle {
-    let n = machine.n_gpus();
-    assert_eq!(send_bytes.len(), n, "one byte row per device");
-    assert_eq!(ready.len(), n, "one ready time per device");
-    for (i, row) in send_bytes.iter().enumerate() {
-        assert_eq!(row.len(), n, "send_bytes[{i}] must have {n} columns");
-    }
-    let work = match cfg.algorithm {
-        Algorithm::Direct => timed_direct(machine, cfg, send_bytes, ready),
-        Algorithm::Ring => timed_ring(machine, cfg, send_bytes, ready),
-        Algorithm::Hierarchical => timed_hierarchical(machine, cfg, send_bytes, ready),
-    };
+    let eff = cfg.protocol_efficiency;
+    let done = schedule(
+        machine,
+        cfg,
+        send_bytes,
+        ready,
+        &mut |m, src, dst, bytes, msgs, at| {
+            Ok::<_, Infallible>(m.send_throttled(src, dst, bytes, msgs, at, eff))
+        },
+    );
+    let work = WorkHandle::new(match done {
+        Ok(done) => done,
+        Err(never) => match never {},
+    });
     record_collective_span(machine, ready, &work);
     work
+}
+
+/// Fault-aware [`all_to_all_timed`]: every chunk is retried under the
+/// config's retry policy when its link is down or the chunk is dropped; the
+/// collective fails with [`FabricError::RetryExhausted`] only once a chunk's
+/// retry budget is spent. On a clean fabric (or with no fault plan
+/// installed) timing is bit-identical to the infallible path.
+pub fn try_all_to_all_timed(
+    machine: &mut Machine,
+    cfg: &CollectiveConfig,
+    send_bytes: &[Vec<u64>],
+    ready: &[SimTime],
+) -> Result<WorkHandle, FabricError> {
+    let mut retries = 0u64;
+    let done = schedule(
+        machine,
+        cfg,
+        send_bytes,
+        ready,
+        &mut |m, src, dst, bytes, msgs, at| {
+            let (iv, attempts) = m.try_send_retry(
+                src,
+                dst,
+                bytes,
+                msgs,
+                at,
+                cfg.protocol_efficiency,
+                cfg.retry,
+            )?;
+            retries += u64::from(attempts - 1);
+            Ok(iv)
+        },
+    )?;
+    let work = WorkHandle::with_retries(done, retries);
+    record_collective_span(machine, ready, &work);
+    Ok(work)
 }
 
 /// Telemetry: one collective call plus its phase span (earliest participant
@@ -116,64 +183,6 @@ fn record_collective_span(machine: &mut Machine, ready: &[SimTime], work: &WorkH
             end.since(start).as_ns() / 1_000,
         );
     }
-}
-
-/// Fault-aware [`all_to_all_timed`]: every chunk is retried under the
-/// config's retry policy when its link is down or the chunk is dropped; the
-/// collective fails with [`FabricError::RetryExhausted`] only once a chunk's
-/// retry budget is spent. On a clean fabric (or with no fault plan
-/// installed) timing is bit-identical to the infallible path.
-pub fn try_all_to_all_timed(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    send_bytes: &[Vec<u64>],
-    ready: &[SimTime],
-) -> Result<WorkHandle, FabricError> {
-    let n = machine.n_gpus();
-    assert_eq!(send_bytes.len(), n, "one byte row per device");
-    assert_eq!(ready.len(), n, "one ready time per device");
-    for (i, row) in send_bytes.iter().enumerate() {
-        assert_eq!(row.len(), n, "send_bytes[{i}] must have {n} columns");
-    }
-    let work = match cfg.algorithm {
-        Algorithm::Direct => try_timed_direct(machine, cfg, send_bytes, ready),
-        Algorithm::Ring => try_timed_ring(machine, cfg, send_bytes, ready),
-        Algorithm::Hierarchical => try_timed_hierarchical(machine, cfg, send_bytes, ready),
-    }?;
-    record_collective_span(machine, ready, &work);
-    Ok(work)
-}
-
-/// Fault-aware [`all_to_all_varied`]: same functional output, fallible
-/// timing. Functional delivery is computed first — under retries every row
-/// still arrives, only later; rows are abandoned only if the collective
-/// errors, and then the caller decides what to degrade.
-pub fn try_all_to_all_varied(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    inputs: &[Vec<f32>],
-    send_counts: &[Vec<usize>],
-    ready: &[SimTime],
-) -> Result<(Vec<Vec<f32>>, WorkHandle), FabricError> {
-    let n = machine.n_gpus();
-    assert_eq!(inputs.len(), n, "one input buffer per device");
-    assert_eq!(send_counts.len(), n, "one send-count row per device");
-    for (i, row) in send_counts.iter().enumerate() {
-        assert_eq!(row.len(), n, "send_counts[{i}] must have {n} columns");
-        let total: usize = row.iter().sum();
-        assert_eq!(
-            total,
-            inputs[i].len(),
-            "send_counts[{i}] must cover the whole input"
-        );
-    }
-    let bytes: Vec<Vec<u64>> = send_counts
-        .iter()
-        .map(|row| row.iter().map(|&c| c as u64 * ELEM_BYTES).collect())
-        .collect();
-    let work = try_all_to_all_timed(machine, cfg, &bytes, ready)?;
-    let outputs = shuffle_functional(inputs, send_counts);
-    Ok((outputs, work))
 }
 
 /// The algorithm-independent functional data movement of an all-to-all.
@@ -204,166 +213,85 @@ fn shuffle_functional(inputs: &[Vec<f32>], send_counts: &[Vec<usize>]) -> Vec<Ve
         .collect()
 }
 
-/// Pairwise schedule: each device pushes its per-destination segment
-/// straight to the peer, chunked; the self segment is a device-local copy.
-fn timed_direct(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    send_bytes: &[Vec<u64>],
-    ready: &[SimTime],
-) -> WorkHandle {
-    let n = machine.n_gpus();
-    let mut done = vec![SimTime::ZERO; n];
-    for src in 0..n {
-        let t0 = ready[src] + cfg.call_overhead;
-        for dst in 0..n {
-            let bytes = send_bytes[src][dst];
-            if dst == src {
-                let local_done = t0 + d2d_copy_time(bytes, machine.spec(src).mem_bw);
-                done[src] = done[src].max(local_done);
-                continue;
-            }
-            if bytes == 0 {
-                done[dst] = done[dst].max(t0);
-                continue;
-            }
-            // Chunked pipeline: each chunk is one message on the wire.
-            let mut remaining = bytes;
-            let mut last_end = t0;
-            while remaining > 0 {
-                let this = remaining.min(cfg.chunk_bytes);
-                let iv = machine.send_throttled(src, dst, this, 1, t0, cfg.protocol_efficiency);
-                last_end = last_end.max(iv.end);
-                remaining -= this;
-            }
-            done[dst] = done[dst].max(last_end);
-            done[src] = done[src].max(last_end);
-        }
-    }
-    WorkHandle::new(done)
+/// A schedule's wire primitive: book one transfer of `bytes` as `messages`
+/// messages from `src` to `dst`, ready at `at`, and return its delivery
+/// interval — or the fabric error that ends the collective.
+trait Sender<E>: FnMut(&mut Machine, usize, usize, u64, u64, SimTime) -> Result<Interval, E> {}
+
+impl<E, F> Sender<E> for F where
+    F: FnMut(&mut Machine, usize, usize, u64, u64, SimTime) -> Result<Interval, E>
+{
 }
 
-/// Fault-aware pairwise schedule: [`timed_direct`] with each chunk retried
-/// under `cfg.retry`.
-fn try_timed_direct(
+/// Run `cfg.algorithm`'s schedule over `send`; returns per-device
+/// completion instants.
+fn schedule<E>(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     ready: &[SimTime],
-) -> Result<WorkHandle, FabricError> {
+    send: &mut impl Sender<E>,
+) -> Result<Vec<SimTime>, E> {
     let n = machine.n_gpus();
-    let mut done = vec![SimTime::ZERO; n];
-    let mut retries = 0u64;
-    for src in 0..n {
-        let t0 = ready[src] + cfg.call_overhead;
-        for dst in 0..n {
-            let bytes = send_bytes[src][dst];
-            if dst == src {
-                let local_done = t0 + d2d_copy_time(bytes, machine.spec(src).mem_bw);
-                done[src] = done[src].max(local_done);
-                continue;
-            }
-            if bytes == 0 {
-                done[dst] = done[dst].max(t0);
-                continue;
-            }
-            let mut remaining = bytes;
-            let mut last_end = t0;
-            while remaining > 0 {
-                let this = remaining.min(cfg.chunk_bytes);
-                let (iv, attempts) = machine.try_send_retry(
-                    src,
-                    dst,
-                    this,
-                    1,
-                    t0,
-                    cfg.protocol_efficiency,
-                    cfg.retry,
-                )?;
-                retries += u64::from(attempts - 1);
-                last_end = last_end.max(iv.end);
-                remaining -= this;
-            }
-            done[dst] = done[dst].max(last_end);
-            done[src] = done[src].max(last_end);
+    assert_eq!(send_bytes.len(), n, "one byte row per device");
+    assert_eq!(ready.len(), n, "one ready time per device");
+    for (i, row) in send_bytes.iter().enumerate() {
+        assert_eq!(row.len(), n, "send_bytes[{i}] must have {n} columns");
+    }
+    let t0: Vec<SimTime> = ready.iter().map(|&r| r + cfg.call_overhead).collect();
+    match cfg.algorithm {
+        Algorithm::Ring => ring(machine, cfg, send_bytes, t0, send),
+        // On a single-node topology the hierarchical schedule is exactly
+        // the direct one, bit for bit.
+        Algorithm::Hierarchical if machine.topology().nodes() > 1 => {
+            hierarchical(machine, cfg, send_bytes, &t0, send)
+        }
+        Algorithm::Direct | Algorithm::Hierarchical => {
+            let mut done = vec![SimTime::ZERO; n];
+            pairwise(machine, cfg, send_bytes, &t0, false, &mut done, send)?;
+            Ok(done)
         }
     }
-    Ok(WorkHandle::with_retries(done, retries))
 }
 
 /// Pipeline-chunked transfer of `bytes` from `src` to `dst`, every chunk
-/// ready at `at`; returns the last delivery time.
-fn send_chunked(
+/// one message ready at `at`; returns the last delivery time.
+fn send_chunked<E>(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
     src: usize,
     dst: usize,
     bytes: u64,
     at: SimTime,
-) -> SimTime {
+    send: &mut impl Sender<E>,
+) -> Result<SimTime, E> {
     let mut remaining = bytes;
     let mut last = at;
     while remaining > 0 {
         let this = remaining.min(cfg.chunk_bytes);
-        let iv = machine.send_throttled(src, dst, this, 1, at, cfg.protocol_efficiency);
-        last = last.max(iv.end);
+        last = last.max(send(machine, src, dst, this, 1, at)?.end);
         remaining -= this;
     }
-    last
+    Ok(last)
 }
 
-/// Fault-aware [`send_chunked`]: each chunk retried under `cfg.retry`;
-/// returns the last delivery time and the retries spent.
-fn try_send_chunked(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    src: usize,
-    dst: usize,
-    bytes: u64,
-    at: SimTime,
-) -> Result<(SimTime, u64), FabricError> {
-    let mut remaining = bytes;
-    let mut last = at;
-    let mut retries = 0u64;
-    while remaining > 0 {
-        let this = remaining.min(cfg.chunk_bytes);
-        let (iv, attempts) =
-            machine.try_send_retry(src, dst, this, 1, at, cfg.protocol_efficiency, cfg.retry)?;
-        retries += u64::from(attempts - 1);
-        last = last.max(iv.end);
-        remaining -= this;
-    }
-    Ok((last, retries))
-}
-
-/// Two-level pod schedule. Intra-node pairs follow the direct pairwise
-/// schedule over the crossbar. Cross-node traffic is staged in three hops:
-/// each source forwards its per-destination-node segment to its own node's
-/// gateway (intra link, or a local staging copy when the source *is* the
-/// gateway), the gateway ships **one** aggregate chunked transfer per
-/// ordered node pair across the slow tier — paying the inter-node
-/// per-message cost once per node pair instead of once per GPU pair — and
-/// the destination gateway scatters each source-node's bundle to its final
-/// devices over the crossbar. On a single-node topology this is exactly
-/// [`timed_direct`], bit for bit.
-fn timed_hierarchical(
+/// Pairwise schedule: each device pushes its per-destination segment
+/// straight to the peer, chunked; the self segment is a device-local copy.
+/// With `intra_only`, pairs on different nodes are skipped (the
+/// hierarchical schedule stages those through the gateways).
+fn pairwise<E>(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
-    ready: &[SimTime],
-) -> WorkHandle {
-    let topo = machine.topology().clone();
-    if topo.nodes() == 1 {
-        return timed_direct(machine, cfg, send_bytes, ready);
-    }
+    t0: &[SimTime],
+    intra_only: bool,
+    done: &mut [SimTime],
+    send: &mut impl Sender<E>,
+) -> Result<(), E> {
     let n = machine.n_gpus();
-    let t0: Vec<SimTime> = ready.iter().map(|&r| r + cfg.call_overhead).collect();
-    let mut done = vec![SimTime::ZERO; n];
-
-    // Intra-node traffic and self-copies: the direct schedule within a node.
     for src in 0..n {
         for dst in 0..n {
-            if !topo.same_node(src, dst) {
+            if intra_only && !machine.topology().same_node(src, dst) {
                 continue;
             }
             let bytes = send_bytes[src][dst];
@@ -376,11 +304,33 @@ fn timed_hierarchical(
                 done[dst] = done[dst].max(t0[src]);
                 continue;
             }
-            let last = send_chunked(machine, cfg, src, dst, bytes, t0[src]);
+            let last = send_chunked(machine, cfg, src, dst, bytes, t0[src], send)?;
             done[dst] = done[dst].max(last);
             done[src] = done[src].max(last);
         }
     }
+    Ok(())
+}
+
+/// Two-level pod schedule. Intra-node pairs follow the direct pairwise
+/// schedule over the crossbar. Cross-node traffic is staged in three hops:
+/// each source forwards its per-destination-node segment to its own node's
+/// gateway (intra link, or a local staging copy when the source *is* the
+/// gateway), the gateway ships **one** aggregate chunked transfer per
+/// ordered node pair across the slow tier — paying the inter-node
+/// per-message cost once per node pair instead of once per GPU pair — and
+/// the destination gateway scatters each source-node's bundle to its final
+/// devices over the crossbar.
+fn hierarchical<E>(
+    machine: &mut Machine,
+    cfg: &CollectiveConfig,
+    send_bytes: &[Vec<u64>],
+    t0: &[SimTime],
+    send: &mut impl Sender<E>,
+) -> Result<Vec<SimTime>, E> {
+    let mut done = vec![SimTime::ZERO; machine.n_gpus()];
+    // Intra-node traffic and self-copies: the direct schedule within a node.
+    pairwise(machine, cfg, send_bytes, t0, true, &mut done, send)?;
 
     // Cross-node traffic: gather → one aggregate inter-node transfer per
     // ordered node pair → scatter. The hops are issued as *global phases*
@@ -390,20 +340,15 @@ fn timed_hierarchical(
     // ratchet a gateway's injection horizon with one pair's late scatter
     // before the reverse pair's gather was even issued, serializing
     // traffic that physically overlaps.
-    let mut pairs = gather_phase(machine, cfg, send_bytes, &t0, &mut done, send_chunked);
+    let mut pairs = gather_phase(machine, cfg, send_bytes, t0, &mut done, send)?;
     // Inter-node transfers, earliest-ready first — the order a real NIC
     // would drain its send queue.
     pairs.sort_by_key(|p| (p.agg_ready, p.gw_s, p.gw_d));
     for p in &mut pairs {
         // Blame: the aggregate transfer is gated by the gather hop landing
         // on the source gateway, not by the gateway's own kernel.
-        if let Some(b) = machine.blame_mut() {
-            let inbound = b.last_inbound(p.gw_s as u32);
-            if inbound.is_some() {
-                b.set_device_cause(p.gw_s as u32, inbound);
-            }
-        }
-        let arrive = send_chunked(machine, cfg, p.gw_s, p.gw_d, p.total, p.agg_ready);
+        anchor_on_inbound(machine, p.gw_s);
+        let arrive = send_chunked(machine, cfg, p.gw_s, p.gw_d, p.total, p.agg_ready, send)?;
         done[p.gw_s] = done[p.gw_s].max(arrive);
         p.arrive = arrive;
     }
@@ -412,12 +357,7 @@ fn timed_hierarchical(
     for p in &pairs {
         // Blame: scatters are gated by the aggregate landing on the
         // destination gateway.
-        if let Some(b) = machine.blame_mut() {
-            let inbound = b.last_inbound(p.gw_d as u32);
-            if inbound.is_some() {
-                b.set_device_cause(p.gw_d as u32, inbound);
-            }
-        }
+        anchor_on_inbound(machine, p.gw_d);
         for &d in &p.dst_members {
             let bytes = p.per_dst[d];
             if bytes == 0 {
@@ -426,13 +366,24 @@ fn timed_hierarchical(
             let end = if d == p.gw_d {
                 p.arrive + d2d_copy_time(bytes, machine.spec(d).mem_bw)
             } else {
-                send_chunked(machine, cfg, p.gw_d, d, bytes, p.arrive)
+                send_chunked(machine, cfg, p.gw_d, d, bytes, p.arrive, send)?
             };
             done[p.gw_d] = done[p.gw_d].max(end);
             done[d] = done[d].max(end);
         }
     }
-    WorkHandle::new(done)
+    Ok(done)
+}
+
+/// Blame: re-anchor wire spans `gw` issues next on the last transfer that
+/// landed on it (no-op when blame is off or nothing has landed).
+fn anchor_on_inbound(machine: &mut Machine, gw: usize) {
+    if let Some(b) = machine.blame_mut() {
+        let inbound = b.last_inbound(gw as u32);
+        if inbound.is_some() {
+            b.set_device_cause(gw as u32, inbound);
+        }
+    }
 }
 
 /// The staged state of one ordered node pair between the hierarchical
@@ -453,20 +404,22 @@ struct PairPlan {
 
 /// Phase one of the hierarchical schedule: every source forwards its
 /// cross-node segments to its node's gateway. Returns one [`PairPlan`] per
-/// ordered node pair with traffic; `send` abstracts over the plain and
-/// fault-aware chunked senders.
-fn gather_phase(
+/// ordered node pair with traffic. A failed hop parks the first error and
+/// the phase keeps issuing, so every gather books before the collective
+/// fails.
+fn gather_phase<E>(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     t0: &[SimTime],
     done: &mut [SimTime],
-    mut send: impl FnMut(&mut Machine, &CollectiveConfig, usize, usize, u64, SimTime) -> SimTime,
-) -> Vec<PairPlan> {
+    send: &mut impl Sender<E>,
+) -> Result<Vec<PairPlan>, E> {
     let topo = machine.topology().clone();
     let n = machine.n_gpus();
     let nodes = topo.nodes();
     let mut pairs = Vec::new();
+    let mut err = None;
     for sn in 0..nodes {
         let src_members: Vec<usize> = topo.node_members(sn).collect();
         let gw_s = src_members[0];
@@ -493,7 +446,13 @@ fn gather_phase(
                 let arrive = if src == gw_s {
                     t0[src] + d2d_copy_time(bytes, machine.spec(src).mem_bw)
                 } else {
-                    send(machine, cfg, src, gw_s, bytes, t0[src])
+                    match send_chunked(machine, cfg, src, gw_s, bytes, t0[src], send) {
+                        Ok(last) => last,
+                        Err(e) => {
+                            err.get_or_insert(e);
+                            t0[src]
+                        }
+                    }
                 };
                 done[src] = done[src].max(arrive);
                 agg_ready = agg_ready.max(arrive);
@@ -512,181 +471,22 @@ fn gather_phase(
             });
         }
     }
-    pairs
-}
-
-/// Fault-aware [`timed_hierarchical`]: every hop's chunks retried under
-/// `cfg.retry`. Delegates to [`try_timed_direct`] on single-node topologies.
-fn try_timed_hierarchical(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    send_bytes: &[Vec<u64>],
-    ready: &[SimTime],
-) -> Result<WorkHandle, FabricError> {
-    let topo = machine.topology().clone();
-    if topo.nodes() == 1 {
-        return try_timed_direct(machine, cfg, send_bytes, ready);
-    }
-    let n = machine.n_gpus();
-    let t0: Vec<SimTime> = ready.iter().map(|&r| r + cfg.call_overhead).collect();
-    let mut done = vec![SimTime::ZERO; n];
-    let mut retries = 0u64;
-
-    for src in 0..n {
-        for dst in 0..n {
-            if !topo.same_node(src, dst) {
-                continue;
-            }
-            let bytes = send_bytes[src][dst];
-            if dst == src {
-                let local = t0[src] + d2d_copy_time(bytes, machine.spec(src).mem_bw);
-                done[src] = done[src].max(local);
-                continue;
-            }
-            if bytes == 0 {
-                done[dst] = done[dst].max(t0[src]);
-                continue;
-            }
-            let (last, r) = try_send_chunked(machine, cfg, src, dst, bytes, t0[src])?;
-            retries += r;
-            done[dst] = done[dst].max(last);
-            done[src] = done[src].max(last);
-        }
-    }
-
-    // Same three global phases as [`timed_hierarchical`] (see the booking
-    // rationale there); the fault-aware sender records retries and parks
-    // the first fabric error for propagation after each phase.
-    let mut err: Option<FabricError> = None;
-    let mut pairs = gather_phase(
-        machine,
-        cfg,
-        send_bytes,
-        &t0,
-        &mut done,
-        |m, c, s, d, b, at| match try_send_chunked(m, c, s, d, b, at) {
-            Ok((last, r)) => {
-                retries += r;
-                last
-            }
-            Err(e) => {
-                err.get_or_insert(e);
-                at
-            }
-        },
-    );
-    if let Some(e) = err {
-        return Err(e);
-    }
-    pairs.sort_by_key(|p| (p.agg_ready, p.gw_s, p.gw_d));
-    for p in &mut pairs {
-        let (arrive, r) = try_send_chunked(machine, cfg, p.gw_s, p.gw_d, p.total, p.agg_ready)?;
-        retries += r;
-        done[p.gw_s] = done[p.gw_s].max(arrive);
-        p.arrive = arrive;
-    }
-    pairs.sort_by_key(|p| (p.arrive, p.gw_s, p.gw_d));
-    for p in &pairs {
-        for &d in &p.dst_members {
-            let bytes = p.per_dst[d];
-            if bytes == 0 {
-                continue;
-            }
-            let end = if d == p.gw_d {
-                p.arrive + d2d_copy_time(bytes, machine.spec(d).mem_bw)
-            } else {
-                let (last, r) = try_send_chunked(machine, cfg, p.gw_d, d, bytes, p.arrive)?;
-                retries += r;
-                last
-            };
-            done[p.gw_d] = done[p.gw_d].max(end);
-            done[d] = done[d].max(end);
-        }
-    }
-    Ok(WorkHandle::with_retries(done, retries))
-}
-
-/// Fault-aware ring schedule: [`timed_ring`] with each hop retried under
-/// `cfg.retry`.
-fn try_timed_ring(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    send_bytes: &[Vec<u64>],
-    ready: &[SimTime],
-) -> Result<WorkHandle, FabricError> {
-    let n = machine.n_gpus();
-    if n == 1 {
-        return Ok(WorkHandle::new(vec![ready[0] + cfg.call_overhead]));
-    }
-    let mut held: Vec<Vec<(usize, u64)>> = (0..n)
-        .map(|src| {
-            (0..n)
-                .filter(|&d| d != src)
-                .map(|d| (d, send_bytes[src][d]))
-                .filter(|&(_, b)| b > 0)
-                .collect()
-        })
-        .collect();
-    let mut t: Vec<SimTime> = ready.iter().map(|&r| r + cfg.call_overhead).collect();
-    let mut done = t.clone();
-    let mut retries = 0u64;
-    for src in 0..n {
-        let bytes = send_bytes[src][src];
-        let local = t[src] + d2d_copy_time(bytes, machine.spec(src).mem_bw);
-        done[src] = done[src].max(local);
-    }
-    for _step in 1..n {
-        let mut arriving: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-        let mut arrive_time = vec![SimTime::ZERO; n];
-        for src in 0..n {
-            let next = (src + 1) % n;
-            let parcels = std::mem::take(&mut held[src]);
-            if parcels.is_empty() {
-                continue;
-            }
-            let bytes: u64 = parcels.iter().map(|&(_, b)| b).sum();
-            let (iv, attempts) = machine.try_send_retry(
-                src,
-                next,
-                bytes,
-                cfg.n_chunks(bytes),
-                t[src],
-                cfg.protocol_efficiency,
-                cfg.retry,
-            )?;
-            retries += u64::from(attempts - 1);
-            done[src] = done[src].max(iv.end);
-            arrive_time[next] = arrive_time[next].max(iv.end);
-            arriving[next].extend(parcels);
-        }
-        for rank in 0..n {
-            let mut keep = Vec::new();
-            for (dst, bytes) in arriving[rank].drain(..) {
-                if dst == rank {
-                    done[rank] = done[rank].max(arrive_time[rank]);
-                } else {
-                    keep.push((dst, bytes));
-                }
-            }
-            held[rank] = keep;
-            t[rank] = t[rank].max(arrive_time[rank]);
-        }
-    }
-    Ok(WorkHandle::with_retries(done, retries))
+    err.map_or(Ok(pairs), Err)
 }
 
 /// Ring schedule: `n − 1` neighbor steps; parcels hop until they reach their
 /// destination. Total wire volume exceeds the direct schedule (multi-hop),
 /// which is why NCCL prefers peer-to-peer on a crossbar.
-fn timed_ring(
+fn ring<E>(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
-    ready: &[SimTime],
-) -> WorkHandle {
+    mut t: Vec<SimTime>,
+    send: &mut impl Sender<E>,
+) -> Result<Vec<SimTime>, E> {
     let n = machine.n_gpus();
     if n == 1 {
-        return WorkHandle::new(vec![ready[0] + cfg.call_overhead]);
+        return Ok(t);
     }
     // Parcels held at each rank: (dst, bytes).
     let mut held: Vec<Vec<(usize, u64)>> = (0..n)
@@ -698,7 +498,6 @@ fn timed_ring(
                 .collect()
         })
         .collect();
-    let mut t: Vec<SimTime> = ready.iter().map(|&r| r + cfg.call_overhead).collect();
     let mut done = t.clone();
     // Local self-copy happens immediately.
     for src in 0..n {
@@ -716,14 +515,7 @@ fn timed_ring(
                 continue;
             }
             let bytes: u64 = parcels.iter().map(|&(_, b)| b).sum();
-            let iv = machine.send_throttled(
-                src,
-                next,
-                bytes,
-                cfg.n_chunks(bytes),
-                t[src],
-                cfg.protocol_efficiency,
-            );
+            let iv = send(machine, src, next, bytes, cfg.n_chunks(bytes), t[src])?;
             done[src] = done[src].max(iv.end);
             arrive_time[next] = arrive_time[next].max(iv.end);
             arriving[next].extend(parcels);
@@ -741,7 +533,7 @@ fn timed_ring(
             t[rank] = t[rank].max(arrive_time[rank]);
         }
     }
-    WorkHandle::new(done)
+    Ok(done)
 }
 
 #[cfg(test)]
@@ -1043,6 +835,33 @@ mod tests {
         }
         assert_eq!(b.retries(), 0);
         assert_eq!(m1.traffic_stats(), m2.traffic_stats());
+    }
+
+    #[test]
+    fn try_hierarchical_records_the_same_blame_spans_as_timed() {
+        // One schedule, two senders: on a clean pod the fallible path must
+        // book and blame every hop exactly as the infallible one does,
+        // including the gateway hops' re-anchored causes.
+        let bytes: Vec<Vec<u64>> = (0..4)
+            .map(|s| {
+                (0..4)
+                    .map(|d| ((s * 5 + d * 3) % 7 + 1) as u64 * 40_000)
+                    .collect()
+            })
+            .collect();
+        let cfg = CollectiveConfig::default().with_algorithm(Algorithm::Hierarchical);
+        let mut m1 = Machine::new(MachineConfig::pod_v100(2, 2));
+        m1.enable_blame();
+        all_to_all_timed(&mut m1, &cfg, &bytes, &ready(4));
+        let mut m2 = Machine::new(MachineConfig::pod_v100(2, 2));
+        m2.enable_blame();
+        try_all_to_all_timed(&mut m2, &cfg, &bytes, &ready(4)).expect("clean");
+        let (a, b) = (m1.blame().unwrap().spans(), m2.blame().unwrap().spans());
+        assert!(
+            a.iter().any(|s| s.cause.is_some()),
+            "gateway hops carry causes"
+        );
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -27,12 +27,12 @@ pub use single::{
 
 pub use crate::cache::{HotCachePlanner, HotReplicas, HotRowCache, IndexDedupMap};
 
-use desim::Dur;
-use gpusim::{GpuSpec, KernelShape};
+use desim::{Dur, SimTime};
+use gpusim::{GpuSpec, KernelShape, Machine};
 use rayon::prelude::*;
 use simtensor::Tensor;
 
-use crate::{DevicePlan, EmbLayerConfig, ForwardPlan, RunReport, SparseBatch};
+use crate::{DevicePlan, EmbLayerConfig, ForwardPlan, RunReport, SparseBatch, TimeBreakdown};
 
 /// Whether a run materializes weights and produces outputs, or only times.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -219,6 +219,53 @@ pub fn prepare_batches(cfg: &EmbLayerConfig, mode: ExecMode, gpu: &GpuSpec) -> P
         batches,
         plans,
         planner,
+    }
+}
+
+/// The closed loop every backend's `run` drives: plan `cfg`'s distinct
+/// batches, execute `cfg.n_batches` of them back to back through `step`
+/// (given the batch index, its plan and its start instant, it returns the
+/// batch's run and whether the PGAS path served it), and report. In
+/// functional mode the final batch's outputs come from the data-movement
+/// code of the path that served it.
+pub(crate) fn closed_loop(
+    machine: &mut Machine,
+    cfg: &EmbLayerConfig,
+    mode: ExecMode,
+    mut step: impl FnMut(&mut Machine, usize, &PlannedBatch, SimTime) -> (BatchRun, bool),
+) -> BackendResult {
+    assert_eq!(
+        machine.n_gpus(),
+        cfg.n_gpus,
+        "machine/config GPU count mismatch"
+    );
+    let prepared = prepare_batches(cfg, mode, &machine.spec(0).clone());
+    // Per distinct batch, precompute block durations and the all-to-all
+    // byte matrix — they do not change across repetitions.
+    let planned: Vec<PlannedBatch> = (0..prepared.plans.len())
+        .into_par_iter()
+        .map(|i| PlannedBatch::new(machine, prepared.plans[i].clone()))
+        .collect();
+    let mut breakdown = TimeBreakdown::default();
+    let mut start = SimTime::ZERO;
+    let mut via_pgas = false;
+    for batch_idx in 0..cfg.n_batches {
+        let pb = &planned[batch_idx % planned.len()];
+        let (run, pgas) = step(machine, batch_idx, pb, start);
+        breakdown.accumulate(&run.breakdown);
+        start = run.end;
+        via_pgas = pgas;
+    }
+    BackendResult {
+        report: RunReport {
+            batches: cfg.n_batches,
+            breakdown,
+            total: breakdown.total(),
+            traffic: machine.traffic_stats(),
+            comm_series: machine.total_traffic(),
+        },
+        outputs: (mode == ExecMode::Functional)
+            .then(|| final_batch_outputs(cfg, &prepared, via_pgas)),
     }
 }
 

@@ -7,14 +7,13 @@
 //! call, no receive-side staging and no unpack kernel; completion is a
 //! `quiet` (all my writes delivered) plus a barrier.
 
-use desim::{Dur, SimTime};
+use desim::Dur;
 use gpusim::Machine;
 use pgas_rt::{AggregatorConfig, GatewayConfig, PgasConfig};
-use rayon::prelude::*;
 
-use crate::backend::single::{pgas_batch, pgas_batch_gateway, PlannedBatch};
-use crate::backend::{prepare_batches, BackendResult, ExecMode, RetrievalBackend};
-use crate::{EmbLayerConfig, RunReport, TimeBreakdown};
+use crate::backend::single::{pgas_batch, pgas_batch_gateway};
+use crate::backend::{closed_loop, BackendResult, ExecMode, RetrievalBackend};
+use crate::EmbLayerConfig;
 
 /// PGAS fused retrieval.
 #[derive(Clone, Debug, Default)]
@@ -101,48 +100,19 @@ impl RetrievalBackend for PgasFusedBackend {
     }
 
     fn run(&self, machine: &mut Machine, cfg: &EmbLayerConfig, mode: ExecMode) -> BackendResult {
-        let n = machine.n_gpus();
-        assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
-        let prepared = prepare_batches(cfg, mode, &machine.spec(0).clone());
-
-        let planned: Vec<PlannedBatch> = (0..prepared.plans.len())
-            .into_par_iter()
-            .map(|i| PlannedBatch::new(machine, prepared.plans[i].clone()))
-            .collect();
-
-        let mut breakdown = TimeBreakdown::default();
-        let mut batch_start = SimTime::ZERO;
-        for batch_idx in 0..cfg.n_batches {
-            let which = batch_idx % planned.len();
+        closed_loop(machine, cfg, mode, |m, _, pb, start| {
             let run = match self.gateway {
-                None => pgas_batch(machine, self.pgas, &planned[which], batch_start),
+                None => pgas_batch(m, self.pgas, pb, start),
                 Some(flush) => {
                     let gw = GatewayConfig {
                         pgas: self.pgas,
                         flush,
                     };
-                    pgas_batch_gateway(machine, gw, &planned[which], batch_start)
+                    pgas_batch_gateway(m, gw, pb, start)
                 }
             };
-            breakdown.accumulate(&run.breakdown);
-            batch_start = run.end;
-        }
-
-        let outputs = match mode {
-            ExecMode::Timing => None,
-            ExecMode::Functional => Some(crate::backend::final_batch_outputs(cfg, &prepared, true)),
-        };
-
-        BackendResult {
-            report: RunReport {
-                batches: cfg.n_batches,
-                breakdown,
-                total: breakdown.total(),
-                traffic: machine.traffic_stats(),
-                comm_series: machine.total_traffic(),
-            },
-            outputs,
-        }
+            (run, true)
+        })
     }
 }
 

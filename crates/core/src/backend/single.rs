@@ -1,27 +1,33 @@
-//! Per-batch execution surface: run *one* batch of either backend at an
+//! Per-batch execution surface: run *one* batch of either scheme at an
 //! arbitrary start instant.
 //!
-//! The closed-loop backends ([`crate::backend::BaselineBackend`],
-//! [`crate::backend::PgasFusedBackend`]) chain these per-batch functions
-//! back-to-back; the online serving layer (`emb-serve`) invokes them at the
-//! instants its micro-batcher closes batches. Because both paths share the
-//! same functions, a batch of identical composition costs identical
-//! simulated time whether it was replayed in a closed loop or assembled
-//! from queued requests — which is what lets serving latencies be compared
-//! against the paper's Table I timings directly.
+//! Each scheme has exactly one executor: [`baseline_exec`] (parameterized
+//! by the [`CollectiveConfig`]) and [`pgas_exec`] (parameterized by its
+//! [`Transport`]). Both take the per-batch part of a [`ResiliencePolicy`]
+//! (deadline and device fill; the default policy is a clean, strict batch)
+//! and an [`Observer`], and always drive the fault-aware fabric APIs, which
+//! are bit-identical to the infallible ones on a clean fabric. Every
+//! public entry point — the plain and `*_logged` functions here, the
+//! resilient backend's batches, the closed-loop backends — is a thin call
+//! into one of the two, so a batch of identical composition costs
+//! identical simulated time whether it was replayed in a closed loop,
+//! served degradably, or assembled from queued requests — which is what
+//! lets serving latencies be compared against the paper's Table I timings
+//! directly.
 
 use desim::{Dur, SimTime};
 use gpusim::Machine;
 use pgas_rt::{GatewayConfig, GatewayPut, OneSided, PgasConfig};
 use rayon::prelude::*;
-use simccl::{all_to_all_timed, CollectiveConfig};
+use simccl::{try_all_to_all_timed, CollectiveConfig};
 use telemetry::causal::{BlameCategory, Lane};
 
 use crate::arena;
 use crate::backend::baseline::UNPACK_BW;
 use crate::backend::lookup_block_durations;
 use crate::backend::pgas::stream_releases_into;
-use crate::{ForwardPlan, TimeBreakdown};
+use crate::backend::{DegradedFill, ResiliencePolicy, ResilienceReport};
+use crate::{DevicePlan, ForwardPlan, TimeBreakdown};
 
 /// A batch plus everything precomputed for executing it on a machine:
 /// per-device block durations and the all-to-all byte matrix. Build once,
@@ -100,7 +106,9 @@ impl PlannedBatch {
 ///   wire-delivery instant, plus local rows at their producing block's
 ///   retirement and hot-cache import blocks at theirs — rows become
 ///   consumable *before* the quiet/barrier tail, which is exactly the
-///   overlap the fused schedule converts into end-to-end speedup.
+///   overlap the fused schedule converts into end-to-end speedup. (The
+///   gateway transport logs only local rows: a staged store has no
+///   per-put delivery instant.)
 /// - **Baseline** ([`baseline_batch_logged`]): a single entry per device at
 ///   its post-unpack stream-sync — the bulk-synchronous collective releases
 ///   everything at once.
@@ -206,7 +214,8 @@ pub fn baseline_batch(
     pb: &PlannedBatch,
     start: SimTime,
 ) -> BatchRun {
-    baseline_batch_inner(machine, collectives, pb, start, None)
+    let obs = Observer::plain(BACKEND_BASELINE, None);
+    baseline_exec(machine, collectives, pb, start, &STRICT, obs)
 }
 
 /// [`baseline_batch`] recording the per-device output-availability schedule
@@ -219,32 +228,205 @@ pub fn baseline_batch_logged(
     start: SimTime,
     log: &mut ArrivalLog,
 ) -> BatchRun {
-    baseline_batch_inner(machine, collectives, pb, start, Some(log))
+    let obs = Observer::plain(BACKEND_BASELINE, Some(log));
+    baseline_exec(machine, collectives, pb, start, &STRICT, obs)
 }
 
-fn baseline_batch_inner(
+/// Execute one batch on the PGAS fused path: per-device fused kernels whose
+/// one-sided stores stream onto the wire as blocks retire, a `quiet` per
+/// PE, a barrier over quiets, one stream sync.
+pub fn pgas_batch(
+    machine: &mut Machine,
+    pgas: PgasConfig,
+    pb: &PlannedBatch,
+    start: SimTime,
+) -> BatchRun {
+    let obs = Observer::plain(BACKEND_PGAS, None);
+    pgas_exec(machine, Transport::Flat(pgas), pb, start, &STRICT, obs)
+}
+
+/// [`pgas_batch`] recording the fused-emission arrival schedule into `log`
+/// (reset to this batch): every one-sided put at its wire-delivery instant,
+/// local and import rows at their producing block's retirement. Timing and
+/// traffic are bit-identical to the plain function.
+pub fn pgas_batch_logged(
+    machine: &mut Machine,
+    pgas: PgasConfig,
+    pb: &PlannedBatch,
+    start: SimTime,
+    log: &mut ArrivalLog,
+) -> BatchRun {
+    let obs = Observer::plain(BACKEND_PGAS, Some(log));
+    pgas_exec(machine, Transport::Flat(pgas), pb, start, &STRICT, obs)
+}
+
+/// Execute one batch on the PGAS fused path with **gateway aggregation** of
+/// cross-node stores: same fused-emission schedule as [`pgas_batch`], but
+/// one-sided puts route through a [`GatewayPut`] proxy that coalesces rows
+/// bound for remote nodes into one aggregate message per destination node
+/// (flushed on size/age), scattered intra-node by the destination gateway.
+/// On a single-node topology every put bypasses the proxy, so this is
+/// bit-identical to [`pgas_batch`].
+pub fn pgas_batch_gateway(
+    machine: &mut Machine,
+    cfg: GatewayConfig,
+    pb: &PlannedBatch,
+    start: SimTime,
+) -> BatchRun {
+    let obs = Observer::plain(BACKEND_PGAS, None);
+    pgas_exec(machine, Transport::Gateway(cfg), pb, start, &STRICT, obs)
+}
+
+/// The per-batch policy of a plain batch: no deadline, no device fill.
+const STRICT: ResiliencePolicy = ResiliencePolicy {
+    failover_flaps: 0,
+    batch_deadline: None,
+    fill: DegradedFill::Zeros,
+    baseline_only: false,
+    device_fill: false,
+};
+
+/// Telemetry backend ids used as the `i` label of per-batch metrics.
+pub const BACKEND_BASELINE: u32 = 0;
+/// PGAS fused backend id.
+pub const BACKEND_PGAS: u32 = 1;
+/// Resilient (fallible, degradable) backend id.
+pub const BACKEND_RESILIENT: u32 = 2;
+
+/// What one executed batch reports besides its timing.
+pub(crate) struct Observer<'a> {
+    /// Output-availability schedule to record (reset to this batch).
+    pub log: Option<&'a mut ArrivalLog>,
+    /// Degradation books: the run's report and this batch's per-destination
+    /// rows served from the fill. `None` leaves degradation uncounted.
+    pub books: Option<(&'a mut ResilienceReport, &'a mut [u64])>,
+    /// Telemetry backend id labelling the per-batch metrics.
+    pub backend: u32,
+}
+
+impl<'a> Observer<'a> {
+    /// An observer without degradation books.
+    pub fn plain(backend: u32, log: Option<&'a mut ArrivalLog>) -> Self {
+        Observer {
+            log,
+            books: None,
+            backend,
+        }
+    }
+
+    fn report(&mut self) -> Option<&mut ResilienceReport> {
+        self.books.as_mut().map(|(rep, _)| &mut **rep)
+    }
+
+    /// Count `rows` bound for `dst` as served from the fill.
+    fn degrade(&mut self, dst: usize, rows: u64) {
+        if let Some((rep, degraded)) = &mut self.books {
+            rep.degraded_rows += rows;
+            degraded[dst] += rows;
+        }
+    }
+
+    /// When `dp`'s kernel can start: `start`, or — if its device is lost
+    /// at `start` — its recovery, since without device fill the lost shard
+    /// is simply unavailable and the whole batch waits out the outage.
+    /// Under `policy.device_fill` the lost device's rows are served at once
+    /// instead (the fraction resident in other devices' hot-cache replicas
+    /// from those, the rest from the fill) and `None` says to skip it.
+    /// Sets `lost` when the device is lost.
+    fn kernel_start(
+        &mut self,
+        machine: &Machine,
+        dp: &DevicePlan,
+        plan: &ForwardPlan,
+        start: SimTime,
+        policy: &ResiliencePolicy,
+        lost: &mut bool,
+    ) -> Option<SimTime> {
+        let up_at = machine.device_down_until(dp.device, start);
+        *lost |= up_at.is_some();
+        if up_at.is_none() || !policy.device_fill {
+            return Some(up_at.unwrap_or(start));
+        }
+        if let Some((rep, degraded)) = &mut self.books {
+            for (g, deg) in degraded.iter_mut().enumerate() {
+                let rows = dp.rows_to(g);
+                let replica = (rows as f64 * plan.measured_hit) as u64;
+                rep.replica_rows += replica;
+                rep.degraded_rows += rows - replica;
+                *deg += rows - replica;
+            }
+        }
+        None
+    }
+
+    /// Close the batch's books: whether it saw a lost device and whether
+    /// it missed its deadline.
+    fn count_batch(&mut self, lost: bool, missed: bool) {
+        if let Some((rep, _)) = &mut self.books {
+            rep.device_loss_batches += usize::from(lost);
+            rep.deadline_missed_batches += usize::from(missed);
+        }
+    }
+}
+
+/// The PGAS fused path's put transport.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Transport {
+    /// Every store straight onto the wire through [`OneSided`], issued
+    /// device by device: a kernel, its puts, its quiet, then the next.
+    Flat(PgasConfig),
+    /// Cross-node stores aggregated through [`GatewayPut`] proxies, issued
+    /// once every kernel has run in global `(ready, src, dst)` order.
+    /// Infallible: the proxy has no fault-aware API.
+    Gateway(GatewayConfig),
+}
+
+/// The one baseline executor: lookup kernels → fault-aware all-to-all →
+/// per-device wait (against the policy deadline) + unpack kernel → barrier.
+///
+/// A device lost at `start` delays its kernel to its recovery, or under
+/// `policy.device_fill` is served at once from replicas + fill and sends
+/// and receives nothing. A device whose inbound wait misses the deadline
+/// serves every remote row from the fill; a collective that exhausts its
+/// retries does so for every device.
+pub(crate) fn baseline_exec(
     machine: &mut Machine,
     collectives: &CollectiveConfig,
     pb: &PlannedBatch,
     start: SimTime,
-    mut log: Option<&mut ArrivalLog>,
+    policy: &ResiliencePolicy,
+    mut obs: Observer,
 ) -> BatchRun {
     let plan = pb.plan();
     let n = plan.n_devices;
     let row_bytes = plan.row_bytes() as u64;
+    let deadline = policy.batch_deadline.map_or(SimTime::MAX, |d| start + d);
 
     // --- Phase 1: lookup kernels, one per device, concurrent. ---
     // Per-batch scratch (kernel-end, collective-end, batch-end instants)
     // comes from the batch arena: serving loops execute this function per
     // micro-batch, and warm slabs make it allocation-free.
     let mut k_end = arena::take_time();
-    k_end.resize(n, SimTime::ZERO);
+    k_end.resize(n, start);
+    let mut skipped = arena::take_bool();
+    skipped.resize(n, false);
+    let mut any_lost = false;
+    // Per-device post-sync blame span ids; the latest-finishing device's
+    // span is the batch's critical-path terminal.
+    let mut sync_spans: Vec<Option<usize>> = Vec::new();
     if let Some(b) = machine.blame_mut() {
         b.set_kind(BlameCategory::GatherPool);
         b.set_cause(None);
+        sync_spans.resize(n, None);
     }
     for dp in &plan.devices {
-        let run = machine.run_kernel_varied(dp.device, &pb.durations()[dp.device], start);
+        let Some(kernel_start) = obs.kernel_start(machine, dp, plan, start, policy, &mut any_lost)
+        else {
+            // A served lost device sends and receives nothing.
+            skipped[dp.device] = true;
+            continue;
+        };
+        let run = machine.run_kernel_varied(dp.device, &pb.durations()[dp.device], kernel_start);
         k_end[dp.device] = run.interval.end;
         // Data the collective emits from this device was produced by its
         // lookup kernel: anchor wire-span causes on it.
@@ -254,63 +436,108 @@ fn baseline_batch_inner(
         }
     }
     let k_max = machine.barrier(&k_end);
+    // Rows destined to `d` from producers that actually transmitted this
+    // batch (lost devices' rows were already accounted above).
+    let remote_rows = |d: usize| -> u64 {
+        plan.devices
+            .iter()
+            .filter(|dp| dp.device != d && !skipped[dp.device])
+            .map(|dp| dp.rows_to(d))
+            .sum()
+    };
+    // A lost device neither sends nor receives: zero its outbound byte row
+    // and every producer's column to it, so the collective never models
+    // traffic touching the dead device (its completion time would otherwise
+    // leak into the barrier no live device waits on).
+    let bytes_owned: Vec<Vec<u64>>;
+    let bytes = if skipped.contains(&true) {
+        let mut b = pb.byte_matrix().to_vec();
+        for (d, _) in skipped.iter().enumerate().filter(|&(_, &s)| s) {
+            b[d].fill(0);
+            b.iter_mut().for_each(|row| row[d] = 0);
+        }
+        bytes_owned = b;
+        &bytes_owned
+    } else {
+        pb.byte_matrix()
+    };
 
     // --- Phase 2: all_to_all_single(async_op=True). ---
-    let work = all_to_all_timed(machine, collectives, pb.byte_matrix(), &k_end);
-    let mut c_end = arena::take_time();
-    c_end.extend((0..n).map(|d| work.done_at(d)));
-    let c_max = machine.barrier(&c_end).max(k_max);
-
-    // --- Phase 3: wait() + unpack kernel. ---
-    if let Some(l) = log.as_deref_mut() {
-        l.reset(n);
-    }
     let mut end = arena::take_time();
-    end.resize(n, SimTime::ZERO);
-    // Per-device post-sync blame span ids; the latest-finishing device's
-    // span is the batch's critical-path terminal.
-    let mut sync_spans: Vec<Option<usize>> = Vec::new();
-    for d in 0..n {
-        let waited = work.wait(machine, d, k_end[d]);
-        if let Some(b) = machine.blame_mut() {
-            // The unpack kernel waits on the last transfer landing on d
-            // (its own kernel when nothing crossed the wire).
-            b.set_kind(BlameCategory::Unpack);
-            let cause = b
-                .last_inbound(d as u32)
-                .or_else(|| b.device_cause(d as u32));
-            b.set_cause(cause);
+    end.resize(n, start);
+    let mut missed = false;
+    let c_max = match try_all_to_all_timed(machine, collectives, bytes, &k_end) {
+        Ok(work) => {
+            if let Some(rep) = obs.report() {
+                rep.retries += work.retries();
+            }
+            let mut c_end = arena::take_time();
+            c_end.extend((0..n).map(|d| work.done_at(d)));
+            let c_max = machine.barrier(&c_end).max(k_max);
+            arena::put_time(c_end);
+
+            // --- Phase 3: wait() + unpack kernel. ---
+            for d in (0..n).filter(|&d| !skipped[d]) {
+                let Ok(waited) = work.wait_deadline(machine, d, k_end[d], deadline) else {
+                    // Serve the fill for everything remote; no unpack of
+                    // data that never arrived.
+                    missed = true;
+                    obs.degrade(d, remote_rows(d));
+                    end[d] = machine.stream_sync(d, deadline);
+                    continue;
+                };
+                if let Some(b) = machine.blame_mut() {
+                    // The unpack kernel waits on the last transfer landing
+                    // on d (its own kernel when nothing crossed the wire).
+                    b.set_kind(BlameCategory::Unpack);
+                    let cause = b
+                        .last_inbound(d as u32)
+                        .or_else(|| b.device_cause(d as u32));
+                    b.set_cause(cause);
+                }
+                // Rearrangement touches every *received* byte twice (read
+                // source-major, write [mb, S, dim]); the local chunk was
+                // already written in place by the lookup kernel.
+                // `unpack_rows` equals `mb_sizes[d] × remote_features` on
+                // plain plans and subtracts cache-exported and
+                // dedup-collapsed rows on annotated ones.
+                let unpack_bytes = 2 * plan.unpack_rows(d) * row_bytes;
+                let dur = Dur::from_secs_f64(unpack_bytes as f64 / UNPACK_BW);
+                let run = machine.run_kernel_varied(d, &[dur], waited);
+                end[d] = machine.stream_sync(d, run.interval.end);
+                let unpack_span = machine.blame_last_span();
+                if let Some(b) = machine.blame_mut() {
+                    sync_spans[d] = Some(b.record(
+                        BlameCategory::Sync,
+                        Lane::Gpu(d as u32),
+                        run.interval.end,
+                        run.interval.end,
+                        end[d],
+                        unpack_span,
+                        false,
+                    ));
+                }
+            }
+            Some(c_max)
         }
-        // Rearrangement touches every *received* byte twice (read
-        // source-major, write [mb, S, dim]); the local chunk was already
-        // written in place by the lookup kernel. `unpack_rows` equals
-        // `mb_sizes[d] × remote_features` on plain plans and subtracts
-        // cache-exported and dedup-collapsed rows on annotated ones.
-        let unpack_bytes = 2 * plan.unpack_rows(d) * row_bytes;
-        let dur = Dur::from_secs_f64(unpack_bytes as f64 / UNPACK_BW);
-        let run = machine.run_kernel_varied(d, &[dur], waited);
-        end[d] = machine.stream_sync(d, run.interval.end);
-        let unpack_span = machine.blame_last_span();
-        if let Some(b) = machine.blame_mut() {
-            sync_spans.resize(n, None);
-            sync_spans[d] = Some(b.record(
-                BlameCategory::Sync,
-                Lane::Gpu(d as u32),
-                run.interval.end,
-                run.interval.end,
-                end[d],
-                unpack_span,
-                false,
-            ));
+        Err(e) => {
+            // The collective itself exhausted its retries: this batch's
+            // remote rows are all served from the fill.
+            for d in 0..n {
+                obs.degrade(d, remote_rows(d));
+                end[d] = machine.stream_sync(d, k_end[d].max(e.observed_at()));
+            }
+            None
         }
-        if let Some(l) = log.as_deref_mut() {
-            // Bulk-synchronous release: every pooled row of d's output
-            // becomes consumable at once, after wait + unpack + sync.
-            l.push(d, end[d], (plan.mb_sizes[d] * plan.n_features) as u64);
+    };
+    obs.count_batch(any_lost, missed);
+    if let Some(l) = obs.log {
+        // Bulk-synchronous release: every pooled row of d's output becomes
+        // consumable at once, after wait + unpack + sync.
+        l.reset(n);
+        for (d, &at) in end.iter().enumerate() {
+            l.push(d, at, (plan.mb_sizes[d] * plan.n_features) as u64);
         }
-    }
-    if let Some(l) = log {
-        l.finish();
     }
     let batch_end = machine.barrier(&end);
     if machine.blame_enabled() {
@@ -320,28 +547,27 @@ fn baseline_batch_inner(
         }
     }
     arena::put_time(end);
-    arena::put_time(c_end);
+    arena::put_bool(skipped);
     arena::put_time(k_end);
 
+    let (communication, sync_unpack) = match c_max {
+        // `batch_end` can land before `c_max` when every live device hit
+        // its deadline (or was skipped) while some transfer was in flight.
+        Some(c_max) => (c_max - k_max, batch_end.max(c_max) - c_max),
+        None => (batch_end - k_max, Dur::ZERO),
+    };
     let run = BatchRun {
         start,
         end: batch_end,
         breakdown: TimeBreakdown {
             compute: k_max - start,
-            communication: c_max - k_max,
-            sync_unpack: batch_end - c_max,
+            communication,
+            sync_unpack,
         },
     };
-    record_batch_metrics(machine, BACKEND_BASELINE, &run);
+    record_batch_metrics(machine, obs.backend, &run);
     run
 }
-
-/// Telemetry backend ids used as the `i` label of per-batch metrics.
-pub const BACKEND_BASELINE: u32 = 0;
-/// PGAS fused backend id.
-pub const BACKEND_PGAS: u32 = 1;
-/// Resilient (fallible, degradable) backend id.
-pub const BACKEND_RESILIENT: u32 = 2;
 
 /// Telemetry: per-batch phase breakdown and service-time histogram,
 /// labelled by backend id. For the baseline, `lookup` covers lookup+pack
@@ -381,79 +607,75 @@ pub fn record_batch_metrics(machine: &mut Machine, backend: u32, run: &BatchRun)
     );
 }
 
-/// Execute one batch on the PGAS fused path: per-device fused kernels whose
-/// one-sided stores stream onto the wire as blocks retire, a `quiet` per
-/// PE, a barrier over quiets, one stream sync.
-pub fn pgas_batch(
+/// The one PGAS executor: per-device fused kernels whose one-sided stores
+/// stream onto the wire as blocks retire (paper Listing 2 — a block's
+/// remote rows are streamed across its execution interval rather than
+/// released in a burst at retirement), a `quiet` per PE, a barrier over
+/// quiets, one stream sync (PGAS_EMB_forward's final sync).
+///
+/// A device lost at `start` delays its kernel to its recovery, or under
+/// `policy.device_fill` is served at once from replicas + fill with no
+/// kernel and no puts. A put that exhausts its retries serves its rows from
+/// the fill; a quiet that misses the deadline abandons the rows it would
+/// have waited for.
+pub(crate) fn pgas_exec(
     machine: &mut Machine,
-    pgas: PgasConfig,
+    transport: Transport,
     pb: &PlannedBatch,
     start: SimTime,
-) -> BatchRun {
-    pgas_batch_inner(machine, pgas, pb, start, None)
-}
-
-/// [`pgas_batch`] recording the fused-emission arrival schedule into `log`
-/// (reset to this batch): every one-sided put at its wire-delivery instant,
-/// local and import rows at their producing block's retirement. Timing and
-/// traffic are bit-identical to the plain function.
-pub fn pgas_batch_logged(
-    machine: &mut Machine,
-    pgas: PgasConfig,
-    pb: &PlannedBatch,
-    start: SimTime,
-    log: &mut ArrivalLog,
-) -> BatchRun {
-    pgas_batch_inner(machine, pgas, pb, start, Some(log))
-}
-
-fn pgas_batch_inner(
-    machine: &mut Machine,
-    pgas: PgasConfig,
-    pb: &PlannedBatch,
-    start: SimTime,
-    mut log: Option<&mut ArrivalLog>,
+    policy: &ResiliencePolicy,
+    mut obs: Observer,
 ) -> BatchRun {
     let plan = pb.plan();
     let n = plan.n_devices;
     let row_bytes = plan.row_bytes();
-    if let Some(l) = log.as_deref_mut() {
+    let deadline = policy.batch_deadline.map_or(SimTime::MAX, |d| start + d);
+    if let Some(l) = obs.log.as_deref_mut() {
         l.reset(n);
     }
 
-    // --- Fused kernel per device; every thread's one-sided store issues
-    // *while the block executes* (paper Listing 2), so a block's remote
-    // rows are streamed across its execution interval rather than
-    // released in a burst at retirement. ---
+    // --- Phase 1: fused kernels; the flat transport issues each device's
+    // puts and quiet right behind its kernel. ---
     let mut k_end = arena::take_time();
-    k_end.resize(n, SimTime::ZERO);
+    k_end.resize(n, start);
     let mut quiet = arena::take_time();
-    quiet.resize(n, SimTime::ZERO);
+    quiet.resize(n, start);
+    let mut kernel_spans: Vec<Option<usize>> = Vec::new();
     let mut quiet_spans: Vec<Option<usize>> = Vec::new();
     if let Some(b) = machine.blame_mut() {
         b.set_kind(BlameCategory::GatherPool);
         b.set_cause(None);
+        kernel_spans.resize(n, None);
         quiet_spans.resize(n, None);
     }
     let mut releases = arena::take_release();
+    let mut events = arena::take_event();
+    // Rows whose delivery lands past the deadline: degraded only if the
+    // quiet actually abandons them (it always observes them).
+    let mut late = arena::take_u64();
+    let (mut any_lost, mut missed) = (false, false);
     for dp in &plan.devices {
-        let durs = &pb.durations()[dp.device];
-        let run = machine.run_kernel_varied(dp.device, durs, start);
-        k_end[dp.device] = run.interval.end;
+        let dev = dp.device;
+        let Some(kernel_start) = obs.kernel_start(machine, dp, plan, start, policy, &mut any_lost)
+        else {
+            continue;
+        };
+        let durs = &pb.durations()[dev];
+        let run = machine.run_kernel_varied(dev, durs, kernel_start);
+        k_end[dev] = run.interval.end;
         let kernel_span = machine.blame_last_span();
         if let Some(b) = machine.blame_mut() {
             // Puts issued below carry rows this kernel produced.
-            b.set_device_cause(dp.device as u32, kernel_span);
+            b.set_device_cause(dev as u32, kernel_span);
+            kernel_spans[dev] = kernel_span;
         }
         stream_releases_into(dp, durs, &run, &mut releases);
-        if let Some(l) = log.as_deref_mut() {
+        if let Some(l) = obs.log.as_deref_mut() {
             // Rows pooled for this device's own output are consumable the
             // instant their producing block retires — no wire involved.
             for (blk, &end) in dp.blocks.iter().zip(&run.block_ends) {
-                for &(dst, rows) in &blk.dest_rows {
-                    if dst == dp.device {
-                        l.push(dst, end, rows);
-                    }
+                for &(dst, rows) in blk.dest_rows.iter().filter(|&&(dst, _)| dst == dev) {
+                    l.push(dst, end, rows);
                 }
             }
             // Hot-cache import blocks (appended after the regular blocks)
@@ -463,24 +685,43 @@ fn pgas_batch_inner(
                 .chunks(plan.bags_per_block)
                 .zip(&run.block_ends[dp.blocks.len()..])
             {
-                l.push(dp.device, end, chunk.len() as u64);
+                l.push(dev, end, chunk.len() as u64);
             }
         }
+        let pgas = match transport {
+            Transport::Flat(pgas) => pgas,
+            Transport::Gateway(_) => {
+                events.extend(
+                    releases
+                        .iter()
+                        .map(|&(ready, dst, rows)| (ready, dev, dst, rows)),
+                );
+                continue;
+            }
+        };
         let mut os = OneSided::with_config(machine, pgas);
+        late.clear();
+        late.resize(n, 0);
         for &(ready, dst, rows) in releases.iter() {
-            let iv = os.put_rows_nbi(dp.device, dst, rows, row_bytes, ready);
-            if let Some(l) = log.as_deref_mut() {
+            let Ok(delivery) = os.try_put_rows_nbi(dev, dst, rows, row_bytes, ready) else {
+                obs.degrade(dst, rows);
+                continue;
+            };
+            let iv = delivery.interval;
+            if iv.end > deadline {
+                late[dst] += rows;
+            }
+            if let Some(l) = obs.log.as_deref_mut() {
                 // The remote rows are consumable once the put delivers.
                 l.push(dst, iv.end, rows);
             }
             // When tracing, tie the remote put's wire span to the pooled
             // write landing on the destination device's track.
             if iv.end > iv.start {
-                let src = dp.device;
                 if let Some(t) = os.machine().trace_mut() {
                     t.record_flow(
                         "pooled write",
-                        format!("link{src}->{dst}"),
+                        format!("link{dev}->{dst}"),
                         iv.start,
                         format!("gpu{dst}"),
                         iv.end,
@@ -488,28 +729,77 @@ fn pgas_batch_inner(
                 }
             }
         }
-        quiet[dp.device] = os.quiet(dp.device, run.interval.end);
+        if let Some(rep) = obs.report() {
+            let st = os.retry_stats();
+            rep.retried_puts += st.retried_puts;
+            rep.retries += st.retries;
+            rep.exhausted_puts += st.exhausted;
+        }
+        quiet[dev] = os
+            .try_quiet(dev, run.interval.end, deadline)
+            .unwrap_or_else(|_| {
+                missed = true;
+                for (dst, &rows) in late.iter().enumerate() {
+                    obs.degrade(dst, rows);
+                }
+                deadline
+            });
         if !quiet_spans.is_empty() {
-            quiet_spans[dp.device] = blame_quiet_span(
-                machine,
-                dp.device,
-                kernel_span,
-                run.interval.end,
-                quiet[dp.device],
-            );
+            quiet_spans[dev] = blame_quiet_span(machine, dev, kernel_span, k_end[dev], quiet[dev]);
         }
     }
-    if let Some(l) = log {
+    arena::put_u64(late);
+    arena::put_release(releases);
+
+    // --- Phase 2 (gateway): one shared proxy, fed in global simulated-time
+    // order. The fabric books wire intervals FIFO in *call* order, and
+    // gateway scatters put traffic on links owned by a different GPU than
+    // the origin — issuing per-device (as the flat transport does) would
+    // book one origin's whole timeline before the next origin's earlier
+    // stores and serialize them artificially. Sorting by (ready, src, dst)
+    // keeps call order aligned with simulated time. Each origin drains at
+    // its own kernel-retirement instant, merged into the same ordering. ---
+    if let Transport::Gateway(cfg) = transport {
+        events.sort_unstable_by_key(|&(t, src, dst, _)| (t, src, dst));
+        let mut gw = GatewayPut::new(machine, cfg);
+        let mut drained = arena::take_bool();
+        drained.resize(n, false);
+        for &(ready, src, dst, rows) in events.iter() {
+            for d in 0..n {
+                if !drained[d] && k_end[d] < ready {
+                    gw.drain_src(d, k_end[d]);
+                    drained[d] = true;
+                }
+            }
+            gw.put_rows_nbi(src, dst, rows, row_bytes, ready);
+        }
+        for (d, &t) in k_end.iter().enumerate() {
+            gw.drain_src(d, t);
+        }
+        for d in 0..n {
+            quiet[d] = gw.quiet(d, k_end[d]);
+            if !quiet_spans.is_empty() {
+                quiet_spans[d] =
+                    blame_quiet_span(gw.machine(), d, kernel_spans[d], k_end[d], quiet[d]);
+            }
+        }
+        arena::put_bool(drained);
+    }
+    arena::put_event(events);
+    obs.count_batch(any_lost, missed);
+    if let Some(l) = obs.log {
         l.finish();
     }
-    arena::put_release(releases);
     let k_max = machine.barrier(&k_end);
     arena::put_time(k_end);
 
     // --- Completion: barrier over per-PE quiets, then one host stream
-    // synchronization (PGAS_EMB_forward's final sync). ---
-    let mut os = OneSided::with_config(machine, pgas);
-    let bar = os.barrier_all(&quiet);
+    // synchronization. ---
+    let pgas = match transport {
+        Transport::Flat(pgas) => pgas,
+        Transport::Gateway(cfg) => cfg.pgas,
+    };
+    let bar = OneSided::with_config(machine, pgas).barrier_all(&quiet);
     let mut end = arena::take_time();
     end.extend((0..n).map(|d| machine.stream_sync(d, bar)));
     let batch_end = machine.barrier(&end);
@@ -528,7 +818,7 @@ fn pgas_batch_inner(
             sync_unpack: batch_end - k_max,
         },
     };
-    record_batch_metrics(machine, BACKEND_PGAS, &run);
+    record_batch_metrics(machine, obs.backend, &run);
     run
 }
 
@@ -560,10 +850,10 @@ fn blame_quiet_span(
     ))
 }
 
-/// Blame spans for the PGAS completion tail shared by the flat and gateway
-/// paths: one host-lane barrier span caused by the latest-quiescing PE's
-/// fence, then one per-device stream-sync span caused by the barrier; the
-/// latest-finishing device's span terminates the batch walk.
+/// Blame spans for the PGAS completion tail: one host-lane barrier span
+/// caused by the latest-quiescing PE's fence, then one per-device
+/// stream-sync span caused by the barrier; the latest-finishing device's
+/// span terminates the batch walk.
 fn blame_completion_tail(
     machine: &mut Machine,
     start: SimTime,
@@ -612,114 +902,6 @@ fn blame_completion_tail(
     if let Some(b) = machine.blame_mut() {
         b.end_batch(start, batch_end, term);
     }
-}
-
-/// Execute one batch on the PGAS fused path with **gateway aggregation** of
-/// cross-node stores: same fused-emission schedule as [`pgas_batch`], but
-/// one-sided puts route through a [`GatewayPut`] proxy that coalesces rows
-/// bound for remote nodes into one aggregate message per destination node
-/// (flushed on size/age), scattered intra-node by the destination gateway.
-/// On a single-node topology every put bypasses the proxy, so this is
-/// bit-identical to [`pgas_batch`].
-pub fn pgas_batch_gateway(
-    machine: &mut Machine,
-    cfg: GatewayConfig,
-    pb: &PlannedBatch,
-    start: SimTime,
-) -> BatchRun {
-    let plan = pb.plan();
-    let n = plan.n_devices;
-    let row_bytes = plan.row_bytes();
-
-    // --- Phase 1: fused kernels; collect every device's store releases. ---
-    let mut k_end = arena::take_time();
-    k_end.resize(n, SimTime::ZERO);
-    let mut events = arena::take_event();
-    let mut releases = arena::take_release();
-    let mut kernel_spans: Vec<Option<usize>> = Vec::new();
-    let mut quiet_spans: Vec<Option<usize>> = Vec::new();
-    if let Some(b) = machine.blame_mut() {
-        b.set_kind(BlameCategory::GatherPool);
-        b.set_cause(None);
-        kernel_spans.resize(n, None);
-        quiet_spans.resize(n, None);
-    }
-    for dp in &plan.devices {
-        let durs = &pb.durations()[dp.device];
-        let run = machine.run_kernel_varied(dp.device, durs, start);
-        k_end[dp.device] = run.interval.end;
-        let kernel_span = machine.blame_last_span();
-        if let Some(b) = machine.blame_mut() {
-            // Gateway traffic below originates from this kernel's stores.
-            b.set_device_cause(dp.device as u32, kernel_span);
-            kernel_spans[dp.device] = kernel_span;
-        }
-        stream_releases_into(dp, durs, &run, &mut releases);
-        events.extend(
-            releases
-                .iter()
-                .map(|&(ready, dst, rows)| (ready, dp.device, dst, rows)),
-        );
-    }
-    arena::put_release(releases);
-    // --- Phase 2: one shared proxy, fed in global simulated-time order.
-    // The fabric books wire intervals FIFO in *call* order, and gateway
-    // scatters put traffic on links owned by a different GPU than the
-    // origin — issuing per-device (as the flat path does) would book one
-    // origin's whole timeline before the next origin's earlier stores and
-    // serialize them artificially. Sorting by (ready, src, dst) keeps call
-    // order aligned with simulated time. Each origin drains at its own
-    // kernel-retirement instant, merged into the same ordering.
-    events.sort_unstable_by_key(|&(t, src, dst, _)| (t, src, dst));
-    let mut gw = GatewayPut::new(machine, cfg);
-    let mut drained = arena::take_bool();
-    drained.resize(n, false);
-    let mut quiet = arena::take_time();
-    quiet.resize(n, SimTime::ZERO);
-    for &(ready, src, dst, rows) in events.iter() {
-        for d in 0..n {
-            if !drained[d] && k_end[d] < ready {
-                gw.drain_src(d, k_end[d]);
-                drained[d] = true;
-            }
-        }
-        gw.put_rows_nbi(src, dst, rows, row_bytes, ready);
-    }
-    for (d, &t) in k_end.iter().enumerate() {
-        gw.drain_src(d, t);
-    }
-    for d in 0..n {
-        quiet[d] = gw.quiet(d, k_end[d]);
-        if !quiet_spans.is_empty() {
-            quiet_spans[d] = blame_quiet_span(gw.machine(), d, kernel_spans[d], k_end[d], quiet[d]);
-        }
-    }
-    drop(gw);
-    arena::put_event(events);
-    arena::put_bool(drained);
-    let k_max = machine.barrier(&k_end);
-    arena::put_time(k_end);
-
-    let mut os = OneSided::with_config(machine, cfg.pgas);
-    let bar = os.barrier_all(&quiet);
-    let mut end = arena::take_time();
-    end.extend((0..n).map(|d| machine.stream_sync(d, bar)));
-    let batch_end = machine.barrier(&end);
-    blame_completion_tail(machine, start, &quiet, &quiet_spans, bar, &end, batch_end);
-    arena::put_time(end);
-    arena::put_time(quiet);
-
-    let run = BatchRun {
-        start,
-        end: batch_end,
-        breakdown: TimeBreakdown {
-            compute: k_max - start,
-            communication: Dur::ZERO,
-            sync_unpack: batch_end - k_max,
-        },
-    };
-    record_batch_metrics(machine, BACKEND_PGAS, &run);
-    run
 }
 
 #[cfg(test)]

@@ -1,32 +1,9 @@
 //! Property-based tests for the DES engine invariants.
 
-use desim::{Dur, EventQueue, MultiResource, Resource, SimTime, TimeSeries};
+use desim::{Dur, MultiResource, Resource, SimTime, TimeSeries};
 use proptest::prelude::*;
 
 proptest! {
-    /// Events always pop in non-decreasing time order, and ties pop in
-    /// insertion order, for arbitrary schedules.
-    #[test]
-    fn queue_is_deterministically_ordered(delays in prop::collection::vec(0u64..1000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &d) in delays.iter().enumerate() {
-            q.schedule_at(SimTime::from_ns(d), i);
-        }
-        let mut last = (SimTime::ZERO, 0usize);
-        let mut popped = 0usize;
-        while let Some((t, id)) = q.pop() {
-            let key = (t, id);
-            if t == last.0 && popped > 0 {
-                // Same timestamp: insertion order (ids were inserted ascending).
-                prop_assert!(id > last.1);
-            }
-            prop_assert!(t >= last.0);
-            last = key;
-            popped += 1;
-        }
-        prop_assert_eq!(popped, delays.len());
-    }
-
     /// A serialized resource never overlaps service intervals and conserves
     /// busy time.
     #[test]

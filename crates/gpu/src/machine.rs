@@ -269,8 +269,11 @@ impl Machine {
         self.faults.as_ref()
     }
 
-    /// True if a non-trivial fault plan is installed.
-    fn faults_active(&self) -> bool {
+    /// True if a non-trivial fault plan is installed: the fault-aware
+    /// operations then sample faults; otherwise they are the infallible
+    /// ones.
+    #[inline]
+    pub fn faults_active(&self) -> bool {
         self.faults.as_ref().is_some_and(|p| !p.is_trivial())
     }
 

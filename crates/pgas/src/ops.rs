@@ -185,6 +185,14 @@ impl<'m> OneSided<'m> {
         row_bytes: u32,
         ready: SimTime,
     ) -> Result<Delivery, FabricError> {
+        if !self.machine.faults_active() {
+            // Clean fabric: the infallible put, delivered on the first try.
+            let interval = self.put_rows_nbi(src, dst, rows, row_bytes, ready);
+            return Ok(Delivery {
+                interval,
+                attempts: 1,
+            });
+        }
         let batch = coalesce_rows(rows, row_bytes, self.cfg.max_payload);
         self.record_put_rows(src, rows);
         self.try_put_batch_nbi(src, dst, batch, ready)

@@ -67,6 +67,19 @@ pub fn pool_stats() -> PoolStats {
     }
 }
 
+/// [`pool_stats`] restricted to the parallel calls issued from the calling
+/// thread, so a region's delta is not disturbed by other threads running
+/// concurrently (a test harness's, say). A call issued here that runs
+/// inline runs its nested calls here too, so a zero dispatched delta means
+/// the region never reached the worker queue.
+pub fn local_pool_stats() -> PoolStats {
+    let (inline_runs, dispatched_runs) = pool::local_stats();
+    PoolStats {
+        inline_runs,
+        dispatched_runs,
+    }
+}
+
 /// Run `f` with adaptive inline degradation disabled on the current thread:
 /// every parallel call issued inside `f` with an effective width above 1
 /// takes the queue/dispatch path regardless of host core count or work
@@ -767,6 +780,22 @@ mod tests {
         let after = pool_stats();
         assert!(after.inline_runs > before.inline_runs);
         assert_eq!(after.dispatched_runs, before.dispatched_runs);
+    }
+
+    #[test]
+    fn local_stats_count_only_this_threads_calls() {
+        let before = local_pool_stats();
+        std::thread::spawn(|| {
+            with_forced_dispatch(|| at_width(4, || (0..256usize).into_par_iter().sum()))
+        })
+        .join()
+        .unwrap();
+        assert_eq!(local_pool_stats(), before, "another thread's calls");
+        let forced = with_forced_dispatch(|| at_width(4, || (0..256usize).into_par_iter().sum()));
+        assert_eq!(forced, 255 * 256 / 2);
+        let after = local_pool_stats();
+        assert!(after.dispatched_runs > before.dispatched_runs);
+        assert_eq!(after.inline_runs, before.inline_runs);
     }
 
     #[test]

@@ -34,6 +34,10 @@ thread_local! {
     /// escape hatch so the pool machinery stays exercised on hosts where
     /// degradation would otherwise inline everything.
     static FORCE_DISPATCH: Cell<bool> = const { Cell::new(false) };
+
+    /// This thread's share of the run counters below: the (inline,
+    /// dispatched) parallel calls issued from it.
+    static LOCAL_RUNS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 /// Run `f` with the parallel width for this thread capped at `cap`.
@@ -102,6 +106,11 @@ pub(crate) fn stats() -> (u64, u64) {
         INLINE_RUNS.load(Ordering::Relaxed),
         DISPATCHED_RUNS.load(Ordering::Relaxed),
     )
+}
+
+/// Snapshot of the calling thread's inline-vs-dispatched run counters.
+pub(crate) fn local_stats() -> (u64, u64) {
+    LOCAL_RUNS.with(Cell::get)
 }
 
 /// Pool width when no `install` override is active: `RAYON_NUM_THREADS` if
@@ -291,12 +300,14 @@ where
     if degrade {
         // Inline: no queue traffic, panics propagate natively.
         INLINE_RUNS.fetch_add(1, Ordering::Relaxed);
+        LOCAL_RUNS.with(|c| c.set((c.get().0 + 1, c.get().1)));
         for i in 0..total {
             f(i);
         }
         return;
     }
     DISPATCHED_RUNS.fetch_add(1, Ordering::Relaxed);
+    LOCAL_RUNS.with(|c| c.set((c.get().0, c.get().1 + 1)));
 
     unsafe fn call_erased<F: Fn(usize) + Sync>(data: *const (), i: usize) {
         // SAFETY: `data` was created from `&f` below and is still borrowed.
