@@ -15,9 +15,9 @@
 # BENCH_adapt.json is produced and claims adaptive dominance), the
 # critical-path blame smoke (EXT-16, asserts BENCH_blame.json is produced
 # with the exposed-communication claim holding), and a byte-identity check
-# (fresh table1/fig5/fig7/chaos/blame/pipeline artifacts must match the
-# committed results/ files exactly). Run from the repo root. Fails fast on
-# the first broken step.
+# (fresh table1/fig5/fig7/chaos/blame/pipeline/serve/ablation-msgsize
+# artifacts must match the committed results/ files exactly). Run from the
+# repo root. Fails fast on the first broken step.
 set -eu
 
 cargo fmt --all -- --check
@@ -168,15 +168,17 @@ grep -q '"exposed_comm_eliminated": true' "$wc_dir/BENCH_blame.json"
 # reproduce the committed artifacts byte for byte: table1/fig5 (plain DGX
 # executors, telemetry off), fig7, chaos (resilient PGAS and baseline_only
 # under faults, fallible collectives), blame (gateway transport,
-# hierarchical schedule and blame hooks at paper scale) and pipeline (the
-# logged executors through the dlrm engine).
+# hierarchical schedule and blame hooks at paper scale), pipeline (the
+# logged executors through the dlrm engine), serve (cached planned batches
+# replayed across the controller's cache resizes) and ablation-msgsize
+# (varied row and payload sizes through the send path).
 fresh_dir="$wc_dir/fresh"
 mkdir -p "$fresh_dir"
-for exp in table1 fig5 fig7 chaos blame pipeline; do
+for exp in table1 fig5 fig7 chaos blame pipeline serve ablation-msgsize; do
     cargo run --release -p bench-harness --offline -- "$exp" --out-dir "$fresh_dir" > /dev/null
 done
 for f in table1.csv fig5.csv fig7.csv chaos.csv blame.csv BENCH_blame.json \
-    blame_folded.txt pipeline.csv; do
+    blame_folded.txt pipeline.csv serve.csv ablation-msgsize.csv; do
     cmp -s "$fresh_dir/$f" "results/$f" || {
         echo "ci: results/$f drifted from a fresh run" >&2
         exit 1

@@ -27,9 +27,6 @@ use std::cell::RefCell;
 
 use desim::SimTime;
 
-/// A fused-kernel store release: `(wire-entry instant, destination, rows)`.
-pub type Release = (SimTime, usize, u64);
-
 /// A gateway-path store event: `(instant, source, destination, rows)`.
 pub type GatewayEvent = (SimTime, usize, usize, u64);
 
@@ -130,7 +127,6 @@ arena_slabs! {
     usizes: usize => take_usize / put_usize,
     bools: bool => take_bool / put_bool,
     times: SimTime => take_time / put_time,
-    releases: Release => take_release / put_release,
     events: GatewayEvent => take_event / put_event,
 }
 

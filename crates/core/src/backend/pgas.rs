@@ -7,8 +7,8 @@
 //! call, no receive-side staging and no unpack kernel; completion is a
 //! `quiet` (all my writes delivered) plus a barrier.
 
-use desim::Dur;
-use gpusim::Machine;
+use desim::{Dur, SimTime};
+use gpusim::{KernelProfile, KernelRun, Machine};
 use pgas_rt::{AggregatorConfig, GatewayConfig, PgasConfig};
 
 use crate::backend::single::{pgas_batch, pgas_batch_gateway};
@@ -43,6 +43,20 @@ impl PgasFusedBackend {
     }
 }
 
+/// A fused-kernel store release: `(wire-entry instant, destination, rows)`.
+pub(crate) type Release = (SimTime, usize, u64);
+
+/// One merged store release of a cached schedule: `rows` bound for `dst`
+/// enter the wire `at` after the kernel's execution start. Two thirds the
+/// size of a [`Release`]; a planned batch keeps one list of these per
+/// device.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ReleaseAt {
+    pub at: Dur,
+    pub dst: u32,
+    pub rows: u32,
+}
+
 /// The fused kernel's one-sided store release schedule for one device,
 /// appended to `releases` as `(wire-entry instant, destination, rows)`,
 /// sorted by `(instant, destination)` with same-key entries merged — the
@@ -50,17 +64,12 @@ impl PgasFusedBackend {
 ///
 /// Release granularity: enough sub-releases that each kernel has ~32
 /// distinct wire-entry instants regardless of its wave structure
-/// (single-wave kernels still overlap). Shared by the plain PGAS backend
-/// and the resilient wrapper so both put identical traffic on the wire.
-/// Takes a caller-provided buffer (cleared first) rather than returning a
-/// fresh map: the per-batch schedule is rebuilt constantly in serving
-/// loops, and a reused sorted `Vec` makes that allocation-free and keeps
-/// the merge pass a flat scan instead of per-entry tree rebalancing.
+/// (single-wave kernels still overlap).
 pub(crate) fn stream_releases_into(
     dp: &crate::DevicePlan,
     durs: &[Dur],
-    run: &gpusim::KernelRun,
-    releases: &mut Vec<crate::arena::Release>,
+    run: &KernelRun,
+    releases: &mut Vec<Release>,
 ) {
     releases.clear();
     let waves = (dp.blocks.len() as u64).div_ceil(run.resident.max(1) as u64);
@@ -92,6 +101,36 @@ pub(crate) fn stream_releases_into(
             false
         }
     });
+}
+
+/// [`stream_releases_into`] for a kernel running `kernel` from t = 0, as
+/// offsets from its start. Every release instant is the kernel start plus
+/// a start-independent span, and sorting and merging commute with a shift,
+/// so adding a later run's start to each entry gives exactly that run's
+/// schedule.
+pub(crate) fn release_offsets(
+    dp: &crate::DevicePlan,
+    durs: &[Dur],
+    kernel: &KernelProfile,
+) -> Vec<ReleaseAt> {
+    let mut releases = Vec::new();
+    stream_releases_into(
+        dp,
+        durs,
+        &kernel.clone().into_run(SimTime::ZERO),
+        &mut releases,
+    );
+    // Collected from a borrowed iterator, so the cached list gets an
+    // allocation of exactly its length (an in-place `into_iter` collect
+    // would keep the larger `Release` buffer).
+    releases
+        .iter()
+        .map(|&(at, dst, rows)| ReleaseAt {
+            at: at - SimTime::ZERO,
+            dst: u32::try_from(dst).expect("device index fits u32"),
+            rows: u32::try_from(rows).expect("merged release rows fit u32"),
+        })
+        .collect()
 }
 
 impl RetrievalBackend for PgasFusedBackend {

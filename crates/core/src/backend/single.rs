@@ -15,8 +15,11 @@
 //! lets serving latencies be compared against the paper's Table I timings
 //! directly.
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
 use desim::{Dur, SimTime};
-use gpusim::Machine;
+use gpusim::{KernelProfile, Machine};
 use pgas_rt::{GatewayConfig, GatewayPut, OneSided, PgasConfig};
 use rayon::prelude::*;
 use simccl::{try_all_to_all_timed, CollectiveConfig};
@@ -25,13 +28,22 @@ use telemetry::causal::{BlameCategory, Lane};
 use crate::arena;
 use crate::backend::baseline::UNPACK_BW;
 use crate::backend::lookup_block_durations;
-use crate::backend::pgas::stream_releases_into;
+use crate::backend::pgas::{release_offsets, ReleaseAt};
 use crate::backend::{DegradedFill, ResiliencePolicy, ResilienceReport};
 use crate::{DevicePlan, ForwardPlan, TimeBreakdown};
 
 /// A batch plus everything precomputed for executing it on a machine:
 /// per-device block durations and the all-to-all byte matrix. Build once,
 /// execute many times (the closed loop cycles a small pool of these).
+///
+/// Each device's lookup-kernel block schedule ([`KernelProfile`]) and
+/// fused store-release schedule are pure functions of the batch, so the
+/// executors replay them, shifted to the kernel's start, instead of
+/// re-simulating them per call. Both are built on a device's first call
+/// (not in [`PlannedBatch::new`]: a batch run once, or only on the
+/// baseline, never pays for schedules it does not replay) and cached at
+/// straggler factor 1 for the first caller's resident width. A straggler,
+/// or a machine of another resident width, builds them for that call only.
 #[derive(Clone, Debug)]
 pub struct PlannedBatch {
     plan: ForwardPlan,
@@ -39,6 +51,17 @@ pub struct PlannedBatch {
     durations: Vec<Vec<Dur>>,
     /// All-to-all payload bytes, indexed `[src][dst]`.
     byte_matrix: Vec<Vec<u64>>,
+    /// Per-device replay caches, indexed `[device]`.
+    cached: Vec<Replay>,
+}
+
+/// One device's cached replay data, each part built on first use.
+#[derive(Clone, Debug, Default)]
+struct Replay {
+    /// Lookup-kernel block schedule at straggler factor 1.
+    kernel: OnceLock<KernelProfile>,
+    /// Fused store releases of `kernel`, as offsets from its start.
+    releases: OnceLock<Vec<ReleaseAt>>,
 }
 
 impl PlannedBatch {
@@ -65,9 +88,42 @@ impl PlannedBatch {
             })
             .collect();
         PlannedBatch {
+            cached: vec![Replay::default(); n],
             plan,
             durations,
             byte_matrix,
+        }
+    }
+
+    /// `dev`'s lookup-kernel block schedule on `machine`: the cached one
+    /// when it fits the device, else one built for this call.
+    fn kernel(&self, machine: &Machine, dev: usize) -> Cow<'_, KernelProfile> {
+        let durs = &self.durations[dev];
+        let spec = machine.spec(dev);
+        let cached = self.cached[dev]
+            .kernel
+            .get_or_init(|| KernelProfile::build(durs, spec, 1.0));
+        if cached.fits(spec, machine.straggler_factor(dev)) {
+            Cow::Borrowed(cached)
+        } else {
+            Cow::Owned(machine.kernel_profile(dev, durs))
+        }
+    }
+
+    /// `dev`'s fused store releases, as offsets from the start of `kernel`
+    /// (what [`PlannedBatch::kernel`] returned): cached along with the
+    /// cached schedule, built for this call along with a fresh one.
+    fn releases(&self, dev: usize, kernel: &KernelProfile) -> Cow<'_, [ReleaseAt]> {
+        let dp = &self.plan.devices[dev];
+        let durs = &self.durations[dev];
+        let cached = &self.cached[dev];
+        match cached.kernel.get() {
+            Some(k) if std::ptr::eq(k, kernel) => Cow::Borrowed(
+                cached
+                    .releases
+                    .get_or_init(|| release_offsets(dp, durs, kernel)),
+            ),
+            _ => Cow::Owned(release_offsets(dp, durs, kernel)),
         }
     }
 
@@ -426,8 +482,8 @@ pub(crate) fn baseline_exec(
             skipped[dp.device] = true;
             continue;
         };
-        let run = machine.run_kernel_varied(dp.device, &pb.durations()[dp.device], kernel_start);
-        k_end[dp.device] = run.interval.end;
+        let kernel = pb.kernel(machine, dp.device);
+        k_end[dp.device] = machine.replay_kernel(dp.device, &kernel, kernel_start).end;
         // Data the collective emits from this device was produced by its
         // lookup kernel: anchor wire-span causes on it.
         let last = machine.blame_last_span();
@@ -648,7 +704,6 @@ pub(crate) fn pgas_exec(
         kernel_spans.resize(n, None);
         quiet_spans.resize(n, None);
     }
-    let mut releases = arena::take_release();
     let mut events = arena::take_event();
     // Rows whose delivery lands past the deadline: degraded only if the
     // quiet actually abandons them (it always observes them).
@@ -660,22 +715,21 @@ pub(crate) fn pgas_exec(
         else {
             continue;
         };
-        let durs = &pb.durations()[dev];
-        let run = machine.run_kernel_varied(dev, durs, kernel_start);
-        k_end[dev] = run.interval.end;
+        let kernel = pb.kernel(machine, dev);
+        let run = machine.replay_kernel(dev, &kernel, kernel_start);
+        k_end[dev] = run.end;
         let kernel_span = machine.blame_last_span();
         if let Some(b) = machine.blame_mut() {
             // Puts issued below carry rows this kernel produced.
             b.set_device_cause(dev as u32, kernel_span);
             kernel_spans[dev] = kernel_span;
         }
-        stream_releases_into(dp, durs, &run, &mut releases);
         if let Some(l) = obs.log.as_deref_mut() {
             // Rows pooled for this device's own output are consumable the
             // instant their producing block retires — no wire involved.
-            for (blk, &end) in dp.blocks.iter().zip(&run.block_ends) {
+            for (blk, &end) in dp.blocks.iter().zip(kernel.block_ends()) {
                 for &(dst, rows) in blk.dest_rows.iter().filter(|&&(dst, _)| dst == dev) {
-                    l.push(dst, end, rows);
+                    l.push(dst, run.start + end, rows);
                 }
             }
             // Hot-cache import blocks (appended after the regular blocks)
@@ -683,26 +737,27 @@ pub(crate) fn pgas_exec(
             for (chunk, &end) in dp
                 .imported_bags
                 .chunks(plan.bags_per_block)
-                .zip(&run.block_ends[dp.blocks.len()..])
+                .zip(&kernel.block_ends()[dp.blocks.len()..])
             {
-                l.push(dev, end, chunk.len() as u64);
+                l.push(dev, run.start + end, chunk.len() as u64);
             }
         }
+        let releases = pb.releases(dev, &kernel);
+        let release = |r: &ReleaseAt| (run.start + r.at, r.dst as usize, u64::from(r.rows));
         let pgas = match transport {
             Transport::Flat(pgas) => pgas,
             Transport::Gateway(_) => {
-                events.extend(
-                    releases
-                        .iter()
-                        .map(|&(ready, dst, rows)| (ready, dev, dst, rows)),
-                );
+                events.extend(releases.iter().map(|r| {
+                    let (ready, dst, rows) = release(r);
+                    (ready, dev, dst, rows)
+                }));
                 continue;
             }
         };
         let mut os = OneSided::with_config(machine, pgas);
         late.clear();
         late.resize(n, 0);
-        for &(ready, dst, rows) in releases.iter() {
+        for (ready, dst, rows) in releases.iter().map(release) {
             let Ok(delivery) = os.try_put_rows_nbi(dev, dst, rows, row_bytes, ready) else {
                 obs.degrade(dst, rows);
                 continue;
@@ -735,21 +790,18 @@ pub(crate) fn pgas_exec(
             rep.retries += st.retries;
             rep.exhausted_puts += st.exhausted;
         }
-        quiet[dev] = os
-            .try_quiet(dev, run.interval.end, deadline)
-            .unwrap_or_else(|_| {
-                missed = true;
-                for (dst, &rows) in late.iter().enumerate() {
-                    obs.degrade(dst, rows);
-                }
-                deadline
-            });
+        quiet[dev] = os.try_quiet(dev, run.end, deadline).unwrap_or_else(|_| {
+            missed = true;
+            for (dst, &rows) in late.iter().enumerate() {
+                obs.degrade(dst, rows);
+            }
+            deadline
+        });
         if !quiet_spans.is_empty() {
             quiet_spans[dev] = blame_quiet_span(machine, dev, kernel_span, k_end[dev], quiet[dev]);
         }
     }
     arena::put_u64(late);
-    arena::put_release(releases);
 
     // --- Phase 2 (gateway): one shared proxy, fed in global simulated-time
     // order. The fabric books wire intervals FIFO in *call* order, and
@@ -1099,6 +1151,101 @@ mod tests {
         // Fraction endpoints behave.
         assert_eq!(plog.ready_at_fraction(0, 1.0), plog.last(0));
         assert!(plog.ready_at_fraction(0, 0.0) <= plog.ready_at_fraction(0, 1.0));
+    }
+
+    /// Replays `pb`'s schedule of every device on `m` at `ready` and checks
+    /// it against a live `run_kernel_varied` on `m` (which then books the
+    /// kernel) and `stream_releases_into` on that live run: the cached
+    /// schedule when `cached`, one built for the call otherwise.
+    fn assert_replay_matches_live(
+        m: &mut Machine,
+        pb: &PlannedBatch,
+        ready: SimTime,
+        cached: bool,
+    ) {
+        for dp in &pb.plan().devices {
+            let dev = dp.device;
+            let kernel = pb.kernel(m, dev);
+            assert_eq!(matches!(kernel, Cow::Borrowed(_)), cached, "gpu{dev}");
+            let releases = pb.releases(dev, &kernel);
+            let durs = &pb.durations()[dev];
+            let live = m.run_kernel_varied(dev, durs, ready);
+            let start = live.interval.start;
+            assert_eq!(start + kernel.end(), live.interval.end, "gpu{dev}");
+            assert_eq!(kernel.resident(), live.resident, "gpu{dev}");
+            let ends: Vec<SimTime> = kernel.block_ends().iter().map(|&o| start + o).collect();
+            assert_eq!(ends, live.block_ends, "gpu{dev}");
+            let mut expect = Vec::new();
+            crate::backend::pgas::stream_releases_into(dp, durs, &live, &mut expect);
+            assert!(!expect.is_empty(), "gpu{dev} releases nothing");
+            let replayed: Vec<_> = releases
+                .iter()
+                .map(|r| (start + r.at, r.dst as usize, u64::from(r.rows)))
+                .collect();
+            assert_eq!(replayed, expect, "gpu{dev}");
+        }
+    }
+
+    #[test]
+    fn cached_schedules_replay_the_live_kernel_and_releases() {
+        // DGX-4, replayed at a start the cache was not built at.
+        let cfg = tiny_cfg(4);
+        let mut m = Machine::new(MachineConfig::dgx_v100(4));
+        let pb = planned(&m, &cfg, 0);
+        assert_replay_matches_live(&mut m, &pb, SimTime::from_us(3), true);
+        assert_replay_matches_live(&mut m, &pb, SimTime::from_ms(2) + Dur::from_ns(7), true);
+
+        // Hot cache + dedup: measured block costs and appended import blocks.
+        let mut cfg = EmbLayerConfig::paper_weak_scaling(4).scaled_down(512);
+        cfg.distribution = crate::IndexDistribution::Zipf { exponent: 1.2 };
+        cfg.hot_cache_rows = 512;
+        cfg.dedup = true;
+        let mut m = Machine::new(MachineConfig::dgx_v100(4));
+        let b = SparseBatch::generate(&cfg.batch_spec(), cfg.batch_seed(0));
+        let pb = PlannedBatch::new(&m, plan_for_batch(&cfg, &b, m.spec(0)));
+        assert!(
+            pb.plan()
+                .devices
+                .iter()
+                .any(|dp| !dp.imported_bags.is_empty()),
+            "the plan must carry import blocks"
+        );
+        assert_replay_matches_live(&mut m, &pb, SimTime::from_us(11), true);
+
+        // 2x2 pod.
+        let cfg = tiny_cfg(4);
+        let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
+        let pb = planned(&m, &cfg, 1);
+        assert_replay_matches_live(&mut m, &pb, SimTime::from_us(5), true);
+    }
+
+    #[test]
+    fn stragglers_and_other_resident_widths_miss_the_cache() {
+        let cfg = tiny_cfg(4);
+        let mut m = Machine::new(MachineConfig::dgx_v100(4));
+        let pb = planned(&m, &cfg, 0);
+        // Warm the cache on the healthy machine.
+        assert_replay_matches_live(&mut m, &pb, SimTime::ZERO, true);
+
+        let spec = gpusim::FaultSpec {
+            straggler_prob: 1.0,
+            straggler_factor: (1.2, 1.6),
+            ..gpusim::FaultSpec::none()
+        };
+        let mut slow = Machine::new(MachineConfig::dgx_v100(4));
+        slow.install_faults(gpusim::FaultPlan::generate(7, 4, spec));
+        assert!((0..4).all(|d| slow.straggler_factor(d) > 1.0));
+        assert_replay_matches_live(&mut slow, &pb, SimTime::from_us(9), false);
+
+        let mut narrow_cfg = MachineConfig::dgx_v100(4);
+        for s in &mut narrow_cfg.specs {
+            s.sm_count /= 4;
+        }
+        let mut narrow = Machine::new(narrow_cfg);
+        assert_replay_matches_live(&mut narrow, &pb, SimTime::from_us(9), false);
+
+        // The misses left the cached schedule as it was.
+        assert_replay_matches_live(&mut m, &pb, SimTime::from_us(1), true);
     }
 
     #[test]

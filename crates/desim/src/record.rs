@@ -45,6 +45,13 @@ impl TimeSeries {
             self.add(start, value);
             return;
         }
+        // One bucket holds the whole interval: the loop below would add
+        // `value * (total / total)`, which is exactly `value`.
+        let b = self.bucket.as_ns();
+        if start.as_ns() / b == (end.as_ns() - 1) / b {
+            self.add(start, value);
+            return;
+        }
         let total = (end - start).as_ns() as f64;
         let mut t = start;
         while t < end {

@@ -62,6 +62,34 @@ proptest! {
         prop_assert!((ts.total() - value).abs() < 1e-6 * value.max(1.0));
     }
 
+    /// add_spread's one-bucket early-out leaves every bucket bit-equal to
+    /// the general per-bucket loop, over a sequence of spreads that mixes
+    /// multi-bucket intervals, intervals inside one bucket and intervals
+    /// ending exactly on a bucket edge.
+    #[test]
+    fn spread_early_out_is_bit_equal_to_the_loop(
+        bucket in 1u64..50,
+        spreads in prop::collection::vec((0u64..1000, 0u64..200, 0u8..3, 0.0f64..1e6), 1..40),
+    ) {
+        let mut ts = TimeSeries::new(Dur::from_ns(bucket));
+        let mut reference: Vec<f64> = Vec::new();
+        for (start, len, shape, value) in spreads {
+            let end = match shape {
+                // Ends exactly on the first bucket edge after `start`.
+                0 => (start / bucket + 1) * bucket,
+                // Stays inside `start`'s bucket.
+                1 => start + len % (bucket - start % bucket),
+                _ => start + len,
+            };
+            ts.add_spread(SimTime::from_ns(start), SimTime::from_ns(end), value);
+            spread_by_loop(&mut reference, bucket, start, end, value);
+        }
+        prop_assert_eq!(ts.buckets().len(), reference.len());
+        for (a, b) in ts.buckets().iter().zip(&reference) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
     /// Cumulative series is monotone for non-negative inputs.
     #[test]
     fn cumulative_is_monotone(adds in prop::collection::vec((0u64..1000, 0.0f64..100.0), 0..100)) {
@@ -73,5 +101,28 @@ proptest! {
         for w in cum.windows(2) {
             prop_assert!(w[1] >= w[0]);
         }
+    }
+}
+
+/// `TimeSeries::add_spread` without its one-bucket early-out: every
+/// interval walks its buckets and adds `value * (segment / total)`.
+fn spread_by_loop(values: &mut Vec<f64>, bucket: u64, start: u64, end: u64, value: f64) {
+    let mut add = |t: u64, v: f64| {
+        let idx = (t / bucket) as usize;
+        if idx >= values.len() {
+            values.resize(idx + 1, 0.0);
+        }
+        values[idx] += v;
+    };
+    if end <= start {
+        add(start, value);
+        return;
+    }
+    let total = (end - start) as f64;
+    let mut t = start;
+    while t < end {
+        let seg_end = ((t / bucket + 1) * bucket).min(end);
+        add(t, value * ((seg_end - t) as f64 / total));
+        t = seg_end;
     }
 }

@@ -12,7 +12,7 @@
 //!   floor dominates and adding GPUs stops helping — exactly the paper's
 //!   strong-scaling plateau (§IV-B: 38% compute / 57% memory utilization).
 
-use desim::{Dur, Interval, SimTime};
+use desim::{Dur, Interval, MultiResource, SimTime};
 
 use crate::GpuSpec;
 
@@ -143,6 +143,101 @@ impl KernelRun {
             interval: Interval { start, end },
             block_ends,
             resident,
+        }
+    }
+}
+
+/// The block schedule of one varied-duration kernel, relative to its
+/// execution start: when each block retires, when the last one does, and
+/// how many were resident per wave. A pure function of the per-block
+/// durations, the device's resident-block limit and its straggler factor,
+/// so a caller that runs the same kernel many times builds it once and
+/// replays it at each start ([`crate::Machine::replay_kernel`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct KernelProfile {
+    /// Retirement offset of each block from the kernel's start, in
+    /// block-index order.
+    block_ends: Vec<Dur>,
+    /// Offset at which every block has retired.
+    end: Dur,
+    /// Blocks resident per wave.
+    resident: u32,
+    /// The `max_resident_blocks` the profile was built for.
+    max_resident: u32,
+    /// The straggler factor the profile was built for.
+    slow: f64,
+}
+
+impl KernelProfile {
+    /// Dispatch `durations` (each scaled by the straggler factor `slow`)
+    /// in order onto [`KernelShape::effective_resident`] slots of `spec`,
+    /// earliest-free slot first, like the hardware's block scheduler.
+    /// `slow == 1.0` takes no float path, so healthy runs are exact.
+    pub fn build(durations: &[Dur], spec: &GpuSpec, slow: f64) -> KernelProfile {
+        let max_resident = spec.max_resident_blocks();
+        if durations.is_empty() {
+            return KernelProfile {
+                block_ends: Vec::new(),
+                end: Dur::ZERO,
+                resident: 1,
+                max_resident,
+                slow,
+            };
+        }
+        let resident = KernelShape::effective_resident(durations.len() as u64, max_resident);
+        let mut slots = MultiResource::new(resident as usize);
+        let block_ends = durations
+            .iter()
+            .map(|&d| {
+                let d = if slow != 1.0 { d * slow } else { d };
+                slots.acquire(SimTime::ZERO, d).end - SimTime::ZERO
+            })
+            .collect();
+        KernelProfile {
+            block_ends,
+            end: slots.all_free() - SimTime::ZERO,
+            resident,
+            max_resident,
+            slow,
+        }
+    }
+
+    /// True if this profile is what [`KernelProfile::build`] gives on
+    /// `spec` at straggler factor `slow` (for the same durations).
+    pub fn fits(&self, spec: &GpuSpec, slow: f64) -> bool {
+        self.max_resident == spec.max_resident_blocks() && self.slow.to_bits() == slow.to_bits()
+    }
+
+    /// Number of blocks.
+    pub fn blocks(&self) -> usize {
+        self.block_ends.len()
+    }
+
+    /// Retirement offset of each block from the kernel's start.
+    pub fn block_ends(&self) -> &[Dur] {
+        &self.block_ends
+    }
+
+    /// Offset at which the last block retires.
+    pub fn end(&self) -> Dur {
+        self.end
+    }
+
+    /// Blocks resident per wave.
+    pub fn resident(&self) -> u32 {
+        self.resident
+    }
+
+    /// The run this profile describes when execution starts at `start`
+    /// (block ends convert in place: no allocation).
+    pub fn into_run(self, start: SimTime) -> KernelRun {
+        KernelRun {
+            interval: Interval {
+                start,
+                end: start + self.end,
+            },
+            block_ends: self.block_ends.into_iter().map(|o| start + o).collect(),
+            resident: self.resident,
         }
     }
 }

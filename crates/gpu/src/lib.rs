@@ -45,7 +45,7 @@ pub use fault::{
     FabricError, FaultEvent, FaultKind, FaultPlan, FaultSpec, FaultWindow, LinkState, MessageFault,
     RetryPolicy,
 };
-pub use kernel::{KernelRun, KernelShape};
+pub use kernel::{KernelProfile, KernelRun, KernelShape};
 pub use machine::{Machine, MachineConfig, TrafficStats};
 pub use spec::GpuSpec;
 pub use stream::{Event, StageChunk, StreamId};

@@ -5,7 +5,7 @@ use telemetry::causal::{BlameCategory, Lane, SpanGraph};
 use telemetry::Registry;
 
 use crate::fault::{FabricError, FaultKind, FaultPlan, LinkState, MessageFault, RetryPolicy};
-use crate::{GpuSpec, KernelRun, KernelShape, LinkSpec, Topology};
+use crate::{GpuSpec, KernelProfile, KernelRun, KernelShape, LinkSpec, Topology};
 
 /// Everything needed to instantiate a [`Machine`].
 #[derive(Clone, Debug)]
@@ -117,6 +117,9 @@ pub struct Machine {
     /// sees timing identical to the plain per-pair link (the NIC and link
     /// horizons coincide).
     nics: Vec<Resource>,
+    /// Per ordered pair, the durations of the last transfer shape sent
+    /// (see [`SendMemo`]).
+    send_memo: Vec<SendMemo>,
     /// Payload bytes on the wire over time, per ordered pair.
     traffic: Vec<TimeSeries>,
     /// Latest send-completion per source device (for PGAS `quiet`).
@@ -135,6 +138,31 @@ pub struct Machine {
     /// (EXT-16). Like telemetry: `None` by default, every hook is one
     /// branch, and recording never perturbs simulated timing.
     blame: Option<SpanGraph>,
+}
+
+/// One ordered pair's last transfer shape — payload, message count and
+/// wire efficiency — with the link and injection-port durations it costs.
+/// Both are pure functions of the shape and the (immutable) machine
+/// config, and a pair's puts repeat a handful of shapes, so most sends
+/// reuse the last one instead of redoing two float conversions.
+#[derive(Clone, Copy, Debug)]
+struct SendMemo {
+    payload: u64,
+    messages: u64,
+    efficiency_bits: u64,
+    wire: Dur,
+    injection: Dur,
+}
+
+impl SendMemo {
+    /// Matches no send: efficiency is never NaN.
+    const EMPTY: SendMemo = SendMemo {
+        payload: 0,
+        messages: 0,
+        efficiency_bits: f64::NAN.to_bits(),
+        wire: Dur::ZERO,
+        injection: Dur::ZERO,
+    };
 }
 
 impl Machine {
@@ -156,6 +184,7 @@ impl Machine {
             links: vec![Resource::new(); n * n],
             injection: vec![Resource::new(); n],
             nics: vec![Resource::new(); cfg.topology.nodes()],
+            send_memo: vec![SendMemo::EMPTY; n * n],
             traffic: (0..n * n).map(|_| TimeSeries::new(bucket)).collect(),
             sent_upto: vec![SimTime::ZERO; n],
             msg_sizes: Histogram::new(),
@@ -455,11 +484,44 @@ impl Machine {
         block_durations: &[Dur],
         ready: SimTime,
     ) -> KernelRun {
+        let profile = self.kernel_profile(dev, block_durations);
+        let interval = self.replay_kernel(dev, &profile, ready);
+        profile.into_run(interval.start)
+    }
+
+    /// The block schedule [`Machine::run_kernel_varied`] would run for
+    /// `block_durations` on `dev` (its resident-block limit and straggler
+    /// factor), relative to the kernel's start.
+    pub fn kernel_profile(&self, dev: usize, block_durations: &[Dur]) -> KernelProfile {
+        KernelProfile::build(
+            block_durations,
+            &self.cfg.specs[dev],
+            self.straggler_factor(dev),
+        )
+    }
+
+    /// Launch a kernel whose block schedule is `profile` on `dev`'s default
+    /// stream, not before `ready`: pays the launch overhead, then occupies
+    /// the stream for the profile's span. Returns the execution interval;
+    /// block `b` retires at `interval.start + profile.block_ends()[b]`.
+    /// Timing and bookkeeping are exactly [`Machine::run_kernel_varied`]'s
+    /// for the durations the profile was built from. Panics if `profile`
+    /// does not fit `dev` ([`KernelProfile::fits`]).
+    pub fn replay_kernel(
+        &mut self,
+        dev: usize,
+        profile: &KernelProfile,
+        ready: SimTime,
+    ) -> Interval {
         let slow = self.straggler_factor(dev);
         let spec = &self.cfg.specs[dev];
-        let start = self.streams[dev].max(ready) + spec.kernel_launch;
+        assert!(
+            profile.fits(spec, slow),
+            "kernel profile built for another resident width or straggler factor than gpu{dev}"
+        );
         let launch = spec.kernel_launch;
-        if block_durations.is_empty() {
+        let start = self.streams[dev].max(ready) + launch;
+        if profile.blocks() == 0 {
             self.bump(start);
             self.streams[dev] = start;
             if let Some(b) = &mut self.blame {
@@ -474,27 +536,9 @@ impl Machine {
                     false,
                 );
             }
-            return KernelRun {
-                interval: Interval { start, end: start },
-                block_ends: Vec::new(),
-                resident: 1,
-            };
+            return Interval { start, end: start };
         }
-        let resident = crate::KernelShape::effective_resident(
-            block_durations.len() as u64,
-            spec.max_resident_blocks(),
-        );
-        // Greedy earliest-slot dispatch, like the hardware's block scheduler.
-        let mut slots = desim::MultiResource::new(resident as usize);
-        let mut block_ends = Vec::with_capacity(block_durations.len());
-        for &d in block_durations {
-            // Straggler scaling only when active: factor 1.0 must not take
-            // the float path, so healthy runs stay bit-identical.
-            let d = if slow != 1.0 { d * slow } else { d };
-            let iv = slots.acquire(start, d);
-            block_ends.push(iv.end);
-        }
-        let end = slots.all_free();
+        let end = start + profile.end();
         self.streams[dev] = end;
         self.bump(end);
         let interval = Interval { start, end };
@@ -517,15 +561,11 @@ impl Machine {
         if let Some(t) = &mut self.trace {
             t.record(
                 format!("gpu{dev}"),
-                format!("kernel({} blk)", block_durations.len()),
+                format!("kernel({} blk)", profile.blocks()),
                 interval,
             );
         }
-        KernelRun {
-            interval,
-            block_ends,
-            resident,
-        }
+        interval
     }
 
     /// Create one auxiliary compute stream on `dev` (the CUDA analogue of
@@ -686,11 +726,24 @@ impl Machine {
         );
         let link = *self.cfg.topology.link(src, dst);
         let n = self.n_gpus();
-        let wire = link.wire_time(payload, n_messages) * (1.0 / efficiency);
-        // The injection port admits the bytes at the GPU's aggregate rate;
-        // the link then streams them at its own (slower or contended) rate.
-        let wire_bytes = payload + n_messages * link.header_bytes as u64;
-        let inj_time = Dur::from_secs_f64(wire_bytes as f64 / self.cfg.specs[src].inj_bw);
+        let memo = &mut self.send_memo[src * n + dst];
+        if memo.payload != payload
+            || memo.messages != n_messages
+            || memo.efficiency_bits != efficiency.to_bits()
+        {
+            // The injection port admits the bytes at the GPU's aggregate
+            // rate; the link then streams them at its own (slower or
+            // contended) rate.
+            let wire_bytes = payload + n_messages * link.header_bytes as u64;
+            *memo = SendMemo {
+                payload,
+                messages: n_messages,
+                efficiency_bits: efficiency.to_bits(),
+                wire: link.wire_time(payload, n_messages) * (1.0 / efficiency),
+                injection: Dur::from_secs_f64(wire_bytes as f64 / self.cfg.specs[src].inj_bw),
+            };
+        }
+        let (wire, inj_time) = (memo.wire, memo.injection);
         let inj_iv = self.injection[src].acquire(ready + link.latency, inj_time);
         // Cross-node traffic funnels through the source node's shared NIC
         // before its pair link; intra-node traffic rides the crossbar only.
@@ -1463,6 +1516,71 @@ mod tests {
                 assert!(at > base.end);
             }
             Err(e) => panic!("unexpected {e:?}"),
+        }
+    }
+
+    #[test]
+    fn memoized_send_durations_match_fresh_wire_time() {
+        // Degradation-only faults on a DGX-2, over the sends' whole span.
+        let spec = crate::FaultSpec {
+            degrade_rate: 2000.0,
+            degrade_window: (Dur::from_us(60), Dur::from_us(300)),
+            degrade_factor: (0.3, 0.8),
+            horizon: Dur::from_ms(3),
+            ..crate::FaultSpec::none()
+        };
+        let mut m = machine(2);
+        m.install_faults(crate::FaultPlan::generate(3, 2, spec));
+        let link = *m.topology().link(0, 1);
+        let inj_bw = m.spec(0).inj_bw;
+        // Each shape twice in a row (a memo hit), then the next one (a
+        // miss); the same payload recurs with another efficiency and
+        // another message count.
+        let shapes = [
+            (4096u64, 16u64, 1.0f64),
+            (4096, 16, 0.5),
+            (256, 1, 1.0),
+            (4096, 1, 1.0),
+            (32 << 10, 128, 0.8),
+        ];
+        let mut expect = TimeSeries::new(m.cfg.traffic_bucket);
+        let mut degraded = 0;
+        for i in 0..60u64 {
+            let (payload, msgs, eff) = shapes[(i / 2) as usize % shapes.len()];
+            // Spaced so every send finds the link and port idle.
+            let ready = SimTime::from_us(50 * i);
+            let iv = m
+                .try_send_throttled(0, 1, payload, msgs, ready, eff)
+                .expect("degradation only");
+            let at = ready + link.latency;
+            let Some(LinkState::Up { bw_factor }) = m.faults().map(|p| p.link_state(0, 1, at))
+            else {
+                panic!("no link flaps in this plan");
+            };
+            let eff = if bw_factor < 1.0 {
+                degraded += 1;
+                eff * bw_factor
+            } else {
+                eff
+            };
+            let wire = link.wire_time(payload, msgs) * (1.0 / eff);
+            let wire_bytes = payload + msgs * link.header_bytes as u64;
+            let inj = Dur::from_secs_f64(wire_bytes as f64 / inj_bw);
+            assert_eq!(
+                iv,
+                Interval {
+                    start: at,
+                    end: at + wire.max(inj)
+                },
+                "send {i}"
+            );
+            expect.add_spread(iv.start, iv.end, payload as f64);
+        }
+        assert!(degraded > 0 && degraded < 60, "{degraded} degraded sends");
+        let got = m.traffic_between(0, 1).buckets();
+        assert_eq!(got.len(), expect.buckets().len());
+        for (a, b) in got.iter().zip(expect.buckets()) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

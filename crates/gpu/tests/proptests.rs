@@ -1,6 +1,6 @@
 //! Property-based tests for the GPU machine model.
 
-use desim::SimTime;
+use desim::{Dur, MultiResource, SimTime};
 use gpusim::{FaultPlan, FaultSpec, KernelShape, Machine, MachineConfig};
 use proptest::prelude::*;
 
@@ -112,6 +112,56 @@ proptest! {
         }
     }
 
+    /// A kernel profile replayed at an arbitrary start (the stream is busy
+    /// for a random span first) is the live dispatch at that start: same
+    /// interval, same block ends, same resident width — and
+    /// `run_kernel_varied` agrees with both. Durations (zeros included),
+    /// resident widths and straggler factors all vary.
+    #[test]
+    fn replayed_profile_equals_live_dispatch(
+        durs in prop::collection::vec(0u64..20_000, 0..200),
+        sms in 1u32..5,
+        per_sm in 1u32..9,
+        straggler in 0u8..2,
+        seed in 0u64..1000,
+        busy_ns in 0u64..10_000_000,
+    ) {
+        let durs: Vec<Dur> = durs.into_iter().map(Dur::from_ns).collect();
+        let mut cfg = MachineConfig::dgx_v100(2);
+        for s in &mut cfg.specs {
+            s.sm_count = sms;
+            s.max_blocks_per_sm = per_sm;
+        }
+        let build = || {
+            let mut m = Machine::new(cfg.clone());
+            if straggler == 1 {
+                let spec = FaultSpec {
+                    straggler_prob: 1.0,
+                    straggler_factor: (1.01, 2.0),
+                    ..FaultSpec::none()
+                };
+                m.install_faults(FaultPlan::generate(seed, 2, spec));
+            }
+            m.run_kernel_varied(0, &[Dur::from_ns(busy_ns)], SimTime::ZERO);
+            m
+        };
+        let (mut a, mut b) = (build(), build());
+        let profile = a.kernel_profile(0, &durs);
+        let ready = SimTime::from_ns(busy_ns / 2);
+        let iv = a.replay_kernel(0, &profile, ready);
+        let live = b.run_kernel_varied(0, &durs, ready);
+        prop_assert_eq!(iv, live.interval);
+
+        let resident = KernelShape::effective_resident(durs.len() as u64, sms * per_sm);
+        let (end, ends) = dispatch_at(&durs, resident, a.straggler_factor(0), iv.start);
+        prop_assert_eq!(iv.end, end);
+        prop_assert_eq!(profile.resident(), resident);
+        prop_assert_eq!(live.resident, resident);
+        let replayed: Vec<SimTime> = profile.block_ends().iter().map(|&o| iv.start + o).collect();
+        prop_assert_eq!(&replayed, &ends);
+        prop_assert_eq!(&live.block_ends, &ends);
+    }
+
     /// finish_time is the max over all recorded activity.
     #[test]
     fn finish_time_is_max(n_kernels in 1usize..10, n_sends in 0usize..10) {
@@ -180,4 +230,24 @@ proptest! {
             prop_assert_eq!(l.header_bytes, expect.header_bytes);
         }
     }
+}
+
+/// The per-call block dispatch a kernel profile replaces: each block, its
+/// duration scaled by `slow`, onto the earliest free of `resident` slots,
+/// all available from the kernel's actual `start`.
+fn dispatch_at(durs: &[Dur], resident: u32, slow: f64, start: SimTime) -> (SimTime, Vec<SimTime>) {
+    let mut slots = MultiResource::new(resident as usize);
+    let ends = durs
+        .iter()
+        .map(|&d| {
+            let d = if slow != 1.0 { d * slow } else { d };
+            slots.acquire(start, d).end
+        })
+        .collect();
+    let end = if durs.is_empty() {
+        start
+    } else {
+        slots.all_free()
+    };
+    (end, ends)
 }
