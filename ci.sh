@@ -15,8 +15,9 @@
 # BENCH_adapt.json is produced and claims adaptive dominance), the
 # critical-path blame smoke (EXT-16, asserts BENCH_blame.json is produced
 # with the exposed-communication claim holding), and a byte-identity check
-# (fresh table1/fig5/fig7/chaos/blame/pipeline/serve/ablation-msgsize
-# artifacts must match the committed results/ files exactly). Run from the
+# (fresh table1/fig5/fig7/chaos/blame/pipeline/serve/ablation-msgsize/
+# netutil/adapt artifacts must match the committed results/ files
+# exactly). Run from the
 # repo root. Fails fast on the first broken step.
 set -eu
 
@@ -170,15 +171,18 @@ grep -q '"exposed_comm_eliminated": true' "$wc_dir/BENCH_blame.json"
 # under faults, fallible collectives), blame (gateway transport,
 # hierarchical schedule and blame hooks at paper scale), pipeline (the
 # logged executors through the dlrm engine), serve (cached planned batches
-# replayed across the controller's cache resizes) and ablation-msgsize
-# (varied row and payload sizes through the send path).
+# replayed across the controller's cache resizes), ablation-msgsize
+# (varied row and payload sizes through the send path), and netutil and
+# adapt (built from registry timelines and delta_since windows, so they
+# pin the registry's slot-indexed recording).
 fresh_dir="$wc_dir/fresh"
 mkdir -p "$fresh_dir"
-for exp in table1 fig5 fig7 chaos blame pipeline serve ablation-msgsize; do
+for exp in table1 fig5 fig7 chaos blame pipeline serve ablation-msgsize netutil adapt; do
     cargo run --release -p bench-harness --offline -- "$exp" --out-dir "$fresh_dir" > /dev/null
 done
 for f in table1.csv fig5.csv fig7.csv chaos.csv blame.csv BENCH_blame.json \
-    blame_folded.txt pipeline.csv serve.csv ablation-msgsize.csv; do
+    blame_folded.txt pipeline.csv serve.csv ablation-msgsize.csv \
+    netutil.csv BENCH_netutil.json adapt.csv BENCH_adapt.json; do
     cmp -s "$fresh_dir/$f" "results/$f" || {
         echo "ci: results/$f drifted from a fresh run" >&2
         exit 1

@@ -141,6 +141,22 @@ fn functional_grads(
         .collect()
 }
 
+/// Per global feature, the first device that lists it: the owner its bag
+/// gradients flow back to.
+fn feature_owners(plan: &ForwardPlan) -> Vec<usize> {
+    let mut owners = vec![usize::MAX; plan.n_features];
+    for (d, dp) in plan.devices.iter().enumerate().rev() {
+        for &f in &dp.features {
+            owners[f] = d;
+        }
+    }
+    assert!(
+        owners.iter().all(|&o| o != usize::MAX),
+        "every feature has an owner"
+    );
+    owners
+}
+
 /// Baseline backward: ring collective rounds → sync → unpack + scatter-add.
 pub fn baseline_backward(
     machine: &mut Machine,
@@ -242,12 +258,16 @@ pub fn pgas_backward(
     assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
     let prepared = prepare_batches(cfg, mode, &machine.spec(0).clone());
     let row_bytes = (cfg.dim * 4) as u32;
+    let owners: Vec<Vec<usize>> = prepared.plans.iter().map(feature_owners).collect();
+    // One block's rows per owner, emptied as the block's puts issue.
+    let mut per_owner = vec![0u64; n];
 
     let mut breakdown = TimeBreakdown::default();
     let mut batch_start = SimTime::ZERO;
     for batch_idx in 0..cfg.n_batches {
         let which = batch_idx % prepared.plans.len();
         let plan = &prepared.plans[which];
+        let owners = &owners[which];
 
         // Fused gradient kernel on each device: mb × S bag-gradient rows in
         // blocks; each block pushes its remote rows at retirement.
@@ -277,14 +297,17 @@ pub fn pgas_backward(
             // owners each (features are block-sharded).
             for (b, &ready) in run.block_ends.iter().enumerate() {
                 let first = b * plan.bags_per_block;
-                let count = plan.bags_per_block.min(n_bags - first);
-                let mut per_owner = vec![0u64; n];
-                for bag in first..first + count {
+                let end = (first + plan.bags_per_block).min(n_bags);
+                // The block's bags are one run per feature it spans.
+                let mut bag = first;
+                while bag < end {
                     let f = bag / mb;
-                    let owner = plan.devices.iter().position(|dp| dp.features.contains(&f));
-                    per_owner[owner.expect("every feature has an owner")] += 1;
+                    let run_end = ((f + 1) * mb).min(end);
+                    per_owner[owners[f]] += (run_end - bag) as u64;
+                    bag = run_end;
                 }
-                for (owner, rows) in per_owner.into_iter().enumerate() {
+                for (owner, rows) in per_owner.iter_mut().enumerate() {
+                    let rows = std::mem::take(rows);
                     if owner != d && rows > 0 {
                         os.atomic_add_rows_nbi(d, owner, rows, row_bytes, ready);
                     }
@@ -426,6 +449,112 @@ mod tests {
             p.report.total,
             b.report.total
         );
+    }
+
+    /// `pgas_backward`'s timing loop with a per-bag search of the plan for
+    /// each bag's owner: the reference the owner table must reproduce.
+    fn per_bag_search_backward(
+        machine: &mut Machine,
+        cfg: &EmbLayerConfig,
+        pgas: PgasConfig,
+    ) -> RunReport {
+        let n = machine.n_gpus();
+        let prepared = prepare_batches(cfg, ExecMode::Timing, &machine.spec(0).clone());
+        let row_bytes = (cfg.dim * 4) as u32;
+        let mut breakdown = TimeBreakdown::default();
+        let mut batch_start = SimTime::ZERO;
+        for batch_idx in 0..cfg.n_batches {
+            let plan = &prepared.plans[batch_idx % prepared.plans.len()];
+            let bytes_per_block = (plan.bags_per_block as u64 * row_bytes as u64 * 2).max(1);
+            let mut k_end = vec![SimTime::ZERO; n];
+            let mut quiet = vec![SimTime::ZERO; n];
+            for d in 0..n {
+                let mb = plan.mb_sizes[d];
+                let n_bags = mb * plan.n_features;
+                let shape = KernelShape {
+                    blocks: n_bags.div_ceil(plan.bags_per_block).max(1) as u64,
+                    bytes_per_block,
+                    flops_per_block: 0,
+                    dependent_accesses: 8,
+                };
+                let run = machine.run_kernel(d, shape, batch_start);
+                k_end[d] = run.interval.end;
+                if n_bags == 0 {
+                    quiet[d] = run.interval.end;
+                    continue;
+                }
+                let mut os = OneSided::with_config(machine, pgas);
+                for (b, &ready) in run.block_ends.iter().enumerate() {
+                    let first = b * plan.bags_per_block;
+                    let count = plan.bags_per_block.min(n_bags - first);
+                    let mut per_owner = vec![0u64; n];
+                    for bag in first..first + count {
+                        let f = bag / mb;
+                        let owner = plan.devices.iter().position(|dp| dp.features.contains(&f));
+                        per_owner[owner.expect("every feature has an owner")] += 1;
+                    }
+                    for (owner, rows) in per_owner.into_iter().enumerate() {
+                        if owner != d && rows > 0 {
+                            os.atomic_add_rows_nbi(d, owner, rows, row_bytes, ready);
+                        }
+                    }
+                }
+                quiet[d] = os.quiet(d, run.interval.end);
+            }
+            let k_max = machine.barrier(&k_end);
+            let bar = OneSided::with_config(machine, pgas).barrier_all(&quiet);
+            let mut end = vec![SimTime::ZERO; n];
+            for (d, e) in end.iter_mut().enumerate() {
+                let staged = (plan.batch_size * plan.devices[d].features.len()) as u64;
+                let scat =
+                    scatter_add_shape(plan.devices[d].total_lookups, staged, row_bytes as u64);
+                let r = machine.run_kernel(d, scat, bar);
+                *e = machine.stream_sync(d, r.interval.end);
+            }
+            let batch_end = machine.barrier(&end);
+            breakdown.accumulate(&TimeBreakdown {
+                compute: k_max - batch_start,
+                communication: Dur::ZERO,
+                sync_unpack: batch_end - k_max,
+            });
+            batch_start = batch_end;
+        }
+        RunReport {
+            batches: cfg.n_batches,
+            breakdown,
+            total: breakdown.total(),
+            traffic: machine.traffic_stats(),
+            comm_series: machine.total_traffic(),
+        }
+    }
+
+    #[test]
+    fn owner_table_matches_per_bag_owner_search() {
+        // Uneven mini-batches (63, 63, 63, 61) and 47-bag blocks: blocks
+        // straddle feature boundaries, and with three features per device
+        // some straddle owner boundaries too (on a 63-bag mini-batch, block
+        // 4 holds one bag for owner 0, then 46 for owner 1).
+        let mut cfg = EmbLayerConfig::paper_weak_scaling(4).scaled_down(64);
+        cfg.n_features = 12;
+        cfg.batch_size = 250;
+        cfg.bags_per_block = 47;
+        cfg.n_batches = 3;
+        cfg.distinct_batches = 2;
+        let got = pgas_backward(
+            &mut Machine::new(MachineConfig::dgx_v100(4)),
+            &cfg,
+            PgasConfig::default(),
+            ExecMode::Timing,
+        )
+        .report;
+        let mut m = Machine::new(MachineConfig::dgx_v100(4));
+        let want = per_bag_search_backward(&mut m, &cfg, PgasConfig::default());
+        let plan = &prepare_batches(&cfg, ExecMode::Timing, m.spec(0)).plans[0];
+        assert!(plan.mb_sizes.iter().all(|mb| mb % plan.bags_per_block != 0));
+        assert_eq!(got.total, want.total);
+        assert_eq!(got.breakdown, want.breakdown);
+        assert_eq!(got.traffic, want.traffic);
+        assert!(got.traffic.messages > 0);
     }
 
     #[test]

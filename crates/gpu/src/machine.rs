@@ -2,7 +2,7 @@
 
 use desim::{Dur, Histogram, Interval, Resource, SimTime, TimeSeries};
 use telemetry::causal::{BlameCategory, Lane, SpanGraph};
-use telemetry::Registry;
+use telemetry::{CounterSlot, HistogramSlot, Registry, TimelineSlot};
 
 use crate::fault::{FabricError, FaultKind, FaultPlan, LinkState, MessageFault, RetryPolicy};
 use crate::{GpuSpec, KernelProfile, KernelRun, KernelShape, LinkSpec, Topology};
@@ -134,6 +134,14 @@ pub struct Machine {
     /// Opt-in metrics registry (disabled by default: recording methods
     /// short-circuit on one branch and never allocate).
     metrics: Registry,
+    /// Per ordered pair, the registry slots of its per-send metrics,
+    /// resolved on the pair's first send with telemetry on. Empty while
+    /// telemetry is off; [`Machine::enable_telemetry`] empties it again,
+    /// because a slot indexes only the registry that resolved it.
+    pair_slots: Vec<Option<PairSlots>>,
+    /// Per source device, the slots of its one-sided put counters
+    /// ([`Machine::put_slots`]), on the same terms as `pair_slots`.
+    put_slots: Vec<Option<PutSlots>>,
     /// Opt-in causal span graph for critical-path blame attribution
     /// (EXT-16). Like telemetry: `None` by default, every hook is one
     /// branch, and recording never perturbs simulated timing.
@@ -165,6 +173,74 @@ impl SendMemo {
     };
 }
 
+/// Registry slots of one ordered pair's per-send metrics, labelled
+/// `(src, dst)` unless noted. Every send of the pair records through them,
+/// so the pair's keys are looked up once, not on every send.
+#[derive(Clone, Copy, Debug)]
+struct PairSlots {
+    sends: CounterSlot,
+    messages: CounterSlot,
+    payload_bytes: CounterSlot,
+    header_bytes: CounterSlot,
+    msg_payload_bytes: HistogramSlot,
+    /// The tier rollups, labelled `(tier, 0)`.
+    tier_messages: CounterSlot,
+    tier_payload_bytes: CounterSlot,
+    tier_header_bytes: CounterSlot,
+    link_busy: TimelineSlot,
+    link_stall: TimelineSlot,
+    stalled_sends: CounterSlot,
+    /// Labelled `(src, 0)`.
+    inflight: TimelineSlot,
+    /// The source node's NIC, labelled `(node, 0)`; recorded only by
+    /// inter-node sends.
+    nic_busy: TimelineSlot,
+}
+
+impl PairSlots {
+    fn resolve(m: &mut Registry, topology: &Topology, src: usize, dst: usize) -> Self {
+        let (si, di) = (src as u32, dst as u32);
+        // Tier 0 = intra-node, 1 = inter-node.
+        let tier = u32::from(!topology.same_node(src, dst));
+        PairSlots {
+            sends: m.counter_slot("fabric_sends", si, di),
+            messages: m.counter_slot("fabric_messages", si, di),
+            payload_bytes: m.counter_slot("fabric_payload_bytes", si, di),
+            header_bytes: m.counter_slot("fabric_header_bytes", si, di),
+            msg_payload_bytes: m.histogram_slot(
+                "fabric_msg_payload_bytes",
+                si,
+                di,
+                telemetry::BYTES_BOUNDS,
+            ),
+            tier_messages: m.counter_slot("fabric_tier_messages", tier, 0),
+            tier_payload_bytes: m.counter_slot("fabric_tier_payload_bytes", tier, 0),
+            tier_header_bytes: m.counter_slot("fabric_tier_header_bytes", tier, 0),
+            link_busy: m.timeline_slot("link_busy_ns", si, di),
+            link_stall: m.timeline_slot("link_stall_ns", si, di),
+            stalled_sends: m.counter_slot("fabric_stalled_sends", si, di),
+            inflight: m.timeline_slot("fabric_inflight_ns", si, 0),
+            nic_busy: m.timeline_slot("nic_busy_ns", topology.node_of(src) as u32, 0),
+        }
+    }
+}
+
+/// Registry slots of one source device's one-sided put counters, each
+/// labelled `(src, 0)`. The machine caches them per source
+/// ([`Machine::put_slots`]) so the PGAS runtime records every put by
+/// index and a re-enabled registry invalidates them with the fabric's.
+#[derive(Clone, Copy, Debug)]
+pub struct PutSlots {
+    /// `pgas_put_rows`: rows handed to row-shaped puts.
+    pub rows: CounterSlot,
+    /// `pgas_puts_issued`: puts that reached the wire.
+    pub issued: CounterSlot,
+    /// `pgas_coalesced_messages`: wire messages after coalescing.
+    pub messages: CounterSlot,
+    /// `pgas_put_payload_bytes`: payload bytes put.
+    pub payload_bytes: CounterSlot,
+}
+
 impl Machine {
     /// Build a machine from a config. Panics if the spec count does not
     /// match the topology.
@@ -193,6 +269,8 @@ impl Machine {
             trace: None,
             faults: None,
             metrics: Registry::disabled(),
+            pair_slots: Vec::new(),
+            put_slots: Vec::new(),
             blame: None,
             cfg,
         }
@@ -203,8 +281,14 @@ impl Machine {
     /// timeline buckets matching the machine's `traffic_bucket`. Telemetry
     /// never perturbs simulated timing; with it off (the default) the hot
     /// paths do not allocate.
+    ///
+    /// Calling it again starts over with an empty registry and drops every
+    /// slot the machine cached into the old one.
     pub fn enable_telemetry(&mut self) {
+        let n = self.n_gpus();
         self.metrics = Registry::enabled(self.cfg.traffic_bucket);
+        self.pair_slots = vec![None; n * n];
+        self.put_slots = vec![None; n];
     }
 
     /// The metrics registry (disabled unless
@@ -215,9 +299,28 @@ impl Machine {
 
     /// Mutable registry access for higher layers (PGAS runtime,
     /// collectives, retrieval backends, serving) recording their own
-    /// metrics against this machine's clock.
+    /// metrics against this machine's clock. Replace the registry only
+    /// through [`Machine::enable_telemetry`], which also drops the slots
+    /// the machine caches into it.
     pub fn metrics_mut(&mut self) -> &mut Registry {
         &mut self.metrics
+    }
+
+    /// The slots of `src`'s one-sided put counters, resolved on first use
+    /// per source; `None` while telemetry is off.
+    #[inline]
+    pub fn put_slots(&mut self, src: usize) -> Option<PutSlots> {
+        if !self.metrics.is_enabled() {
+            return None;
+        }
+        let m = &mut self.metrics;
+        let s = src as u32;
+        Some(*self.put_slots[src].get_or_insert_with(|| PutSlots {
+            rows: m.counter_slot("pgas_put_rows", s, 0),
+            issued: m.counter_slot("pgas_puts_issued", s, 0),
+            messages: m.counter_slot("pgas_coalesced_messages", s, 0),
+            payload_bytes: m.counter_slot("pgas_put_payload_bytes", s, 0),
+        }))
     }
 
     /// Start recording every billed interval (kernel, wire, NIC, retry
@@ -748,19 +851,12 @@ impl Machine {
         // Cross-node traffic funnels through the source node's shared NIC
         // before its pair link; intra-node traffic rides the crossbar only.
         let same_node = self.cfg.topology.same_node(src, dst);
-        let mut nic_queued = false;
-        let wire_from = if same_node {
-            inj_iv.start
-        } else {
+        let nic_iv = (!same_node).then(|| {
             let node = self.cfg.topology.node_of(src);
-            let nic_iv = self.nics[node].acquire(inj_iv.start, wire);
-            nic_queued = nic_iv.start > inj_iv.start;
-            if self.metrics.is_enabled() {
-                self.metrics
-                    .span("nic_busy_ns", node as u32, 0, nic_iv.start, nic_iv.end);
-            }
-            nic_iv.start
-        };
+            self.nics[node].acquire(inj_iv.start, wire)
+        });
+        let nic_queued = nic_iv.is_some_and(|nic| nic.start > inj_iv.start);
+        let wire_from = nic_iv.map_or(inj_iv.start, |nic| nic.start);
         let iv = self.links[src * n + dst].acquire(wire_from, wire);
         let iv = Interval {
             start: iv.start,
@@ -795,58 +891,15 @@ impl Machine {
         self.sent_upto[src] = self.sent_upto[src].max(iv.end);
         self.bump(iv.end);
         if self.metrics.is_enabled() {
-            let (si, di) = (src as u32, dst as u32);
-            self.metrics.incr("fabric_sends", si, di);
-            self.metrics.add("fabric_messages", si, di, n_messages);
-            self.metrics.add("fabric_payload_bytes", si, di, payload);
-            self.metrics.add(
-                "fabric_header_bytes",
-                si,
-                di,
-                n_messages * link.header_bytes as u64,
+            self.record_send(
+                src,
+                dst,
+                payload,
+                n_messages,
+                ready + link.latency,
+                nic_iv,
+                iv,
             );
-            if let Some(mean_payload) = payload.checked_div(n_messages) {
-                self.metrics.observe(
-                    "fabric_msg_payload_bytes",
-                    si,
-                    di,
-                    telemetry::BYTES_BOUNDS,
-                    mean_payload,
-                );
-            }
-            // Per-tier rollups (tier 0 = intra-node, 1 = inter-node): on a
-            // pod topology these split the same traffic by which fabric
-            // tier carried it, so the slow-tier share is one key away.
-            let tier = if self.cfg.topology.same_node(src, dst) {
-                0
-            } else {
-                1
-            };
-            self.metrics
-                .add("fabric_tier_messages", tier, 0, n_messages);
-            self.metrics
-                .add("fabric_tier_payload_bytes", tier, 0, payload);
-            self.metrics.add(
-                "fabric_tier_header_bytes",
-                tier,
-                0,
-                n_messages * link.header_bytes as u64,
-            );
-            // Busy-time over the wire interval: bucket_value / bucket_ns is
-            // this link's utilization in that bucket.
-            self.metrics.span("link_busy_ns", si, di, iv.start, iv.end);
-            // Stall: the gap between when the transfer wanted the wire and
-            // when it got it — bucket_value / bucket_ns is the average
-            // number of transfers queued on this link.
-            let requested = ready + link.latency;
-            if iv.start > requested {
-                self.metrics
-                    .span("link_stall_ns", si, di, requested, iv.start);
-                self.metrics.incr("fabric_stalled_sends", si, di);
-            }
-            // In-flight transfer-time per source (issue → delivery).
-            self.metrics
-                .span("fabric_inflight_ns", si, 0, requested, iv.end);
         }
         if let Some(t) = &mut self.trace {
             t.record(
@@ -856,6 +909,56 @@ impl Machine {
             );
         }
         iv
+    }
+
+    /// Telemetry of one send that asked for the wire at `requested`,
+    /// crossed the source node's NIC over `nic` (inter-node sends only)
+    /// and occupied the link over `iv`. Records through the pair's cached
+    /// slots, resolving them on the pair's first send.
+    #[allow(clippy::too_many_arguments)]
+    fn record_send(
+        &mut self,
+        src: usize,
+        dst: usize,
+        payload: u64,
+        n_messages: u64,
+        requested: SimTime,
+        nic: Option<Interval>,
+        iv: Interval,
+    ) {
+        let n = self.n_gpus();
+        let (m, topology) = (&mut self.metrics, &self.cfg.topology);
+        let s = *self.pair_slots[src * n + dst]
+            .get_or_insert_with(|| PairSlots::resolve(m, topology, src, dst));
+        let header_bytes = n_messages * topology.link(src, dst).header_bytes as u64;
+        if let Some(nic) = nic {
+            m.span_at(s.nic_busy, nic.start, nic.end);
+        }
+        m.add_at(s.sends, 1);
+        m.add_at(s.messages, n_messages);
+        m.add_at(s.payload_bytes, payload);
+        m.add_at(s.header_bytes, header_bytes);
+        if let Some(mean_payload) = payload.checked_div(n_messages) {
+            m.observe_at(s.msg_payload_bytes, mean_payload);
+        }
+        // Per-tier rollups: on a pod topology these split the same traffic
+        // by which fabric tier carried it, so the slow-tier share is one
+        // key away.
+        m.add_at(s.tier_messages, n_messages);
+        m.add_at(s.tier_payload_bytes, payload);
+        m.add_at(s.tier_header_bytes, header_bytes);
+        // Busy-time over the wire interval: bucket_value / bucket_ns is this
+        // link's utilization in that bucket.
+        m.span_at(s.link_busy, iv.start, iv.end);
+        // Stall: the gap between when the transfer wanted the wire and when
+        // it got it — bucket_value / bucket_ns is the average number of
+        // transfers queued on this link.
+        if iv.start > requested {
+            m.span_at(s.link_stall, requested, iv.start);
+            m.add_at(s.stalled_sends, 1);
+        }
+        // In-flight transfer-time per source (issue → delivery).
+        m.span_at(s.inflight, requested, iv.end);
     }
 
     /// Fault-aware [`Machine::send`]: fails if the directed link is inside a

@@ -136,20 +136,21 @@ impl<'m> OneSided<'m> {
 
     /// Telemetry: row count of a `put_rows`-shaped call (no-op when the
     /// machine's registry is disabled).
+    #[inline]
     fn record_put_rows(&mut self, src: usize, rows: u64) {
-        let m = self.machine.metrics_mut();
-        if m.is_enabled() {
-            m.add("pgas_put_rows", src as u32, 0, rows);
+        if let Some(s) = self.machine.put_slots(src) {
+            self.machine.metrics_mut().add_at(s.rows, rows);
         }
     }
 
     /// Telemetry: one issued put and its coalesced message count.
+    #[inline]
     fn record_put_batch(&mut self, src: usize, batch: &CoalescedBatch) {
-        let m = self.machine.metrics_mut();
-        if m.is_enabled() {
-            m.incr("pgas_puts_issued", src as u32, 0);
-            m.add("pgas_coalesced_messages", src as u32, 0, batch.messages);
-            m.add("pgas_put_payload_bytes", src as u32, 0, batch.payload);
+        if let Some(s) = self.machine.put_slots(src) {
+            let m = self.machine.metrics_mut();
+            m.add_at(s.issued, 1);
+            m.add_at(s.messages, batch.messages);
+            m.add_at(s.payload_bytes, batch.payload);
         }
     }
 

@@ -11,13 +11,23 @@
 //!    the default everywhere — and every pre-existing artifact stays
 //!    byte-identical.
 //! 2. **Deterministic snapshots.** Metrics are keyed by a static name plus
-//!    two small numeric labels ([`MetricKey`]) in `BTreeMap`s, so
-//!    [`Registry::snapshot`] is sorted by construction and independent of
-//!    insertion order. All recording happens through `&mut Machine`, which
-//!    the simulator already serialises, so snapshots are bit-identical at
-//!    any `RAYON_NUM_THREADS` width.
-//! 3. **No hot-path string formatting.** Label rendering (`name{i=..,j=..}`)
-//!    happens only at snapshot/exposition time.
+//!    two small numeric labels ([`MetricKey`]). Each kind keeps a sorted
+//!    `BTreeMap` index from key to slot beside its values in a dense `Vec`,
+//!    and every read walks the index, so [`Registry::snapshot`] is sorted
+//!    by construction and independent of insertion order. All recording
+//!    happens through `&mut Machine`, which the simulator already
+//!    serialises, so snapshots are bit-identical at any
+//!    `RAYON_NUM_THREADS` width.
+//! 3. **Cheap hot-path recording.** A hot caller resolves each key once
+//!    ([`Registry::counter_slot`], [`Registry::histogram_slot`],
+//!    [`Registry::timeline_slot`]) and records by index
+//!    ([`Registry::add_at`], [`Registry::observe_at`],
+//!    [`Registry::span_at`]): no key compare, no string formatting. The
+//!    name API ([`Registry::add`], …) resolves and records in one call for
+//!    cold call sites. Resolving creates no series; a series appears in
+//!    reads from its first record on, whichever API recorded it. Label
+//!    rendering (`name{i=..,j=..}`) happens only at snapshot/exposition
+//!    time.
 //!
 //! Four metric kinds: monotonic [`Counter`](Registry::add)s, last/max
 //! [`gauge`](Registry::gauge_set)s, fixed-bucket [`FixedHistogram`]s
@@ -171,18 +181,84 @@ impl FixedHistogram {
     }
 }
 
+/// Handle of one counter, resolved once by [`Registry::counter_slot`] and
+/// recorded through with [`Registry::add_at`]. Valid only for the registry
+/// that resolved it (and its clones).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CounterSlot(u32);
+
+/// Handle of one fixed-bucket histogram, resolved once by
+/// [`Registry::histogram_slot`] and recorded through with
+/// [`Registry::observe_at`]. Valid only for the registry that resolved it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HistogramSlot(u32);
+
+/// Handle of one busy-time timeline, resolved once by
+/// [`Registry::timeline_slot`] and recorded through with
+/// [`Registry::span_at`]. Valid only for the registry that resolved it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TimelineSlot(u32);
+
+/// One metric kind's storage: values in dense slot order, plus the sorted
+/// key → slot index that is read only when a key is first resolved and when
+/// the registry is read.
+#[derive(Clone, Debug)]
+struct Table<T> {
+    index: BTreeMap<MetricKey, u32>,
+    values: Vec<T>,
+}
+
+impl<T> Default for Table<T> {
+    fn default() -> Self {
+        Self {
+            index: BTreeMap::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl<T> Table<T> {
+    /// The slot of `key`, pushing `init()` as its value on first resolution.
+    fn resolve(&mut self, key: MetricKey, init: impl FnOnce() -> T) -> u32 {
+        let next = u32::try_from(self.values.len()).expect("fewer than 2^32 series per kind");
+        let slot = *self.index.entry(key).or_insert(next);
+        if slot == next {
+            self.values.push(init());
+        }
+        slot
+    }
+
+    fn get(&self, key: &MetricKey) -> Option<&T> {
+        self.index.get(key).map(|&s| &self.values[s as usize])
+    }
+
+    /// Every resolved key with its value, sorted by key.
+    fn iter(&self) -> impl Iterator<Item = (MetricKey, &T)> {
+        self.index
+            .iter()
+            .map(|(k, &s)| (*k, &self.values[s as usize]))
+    }
+}
+
 /// Deterministic, opt-in metrics registry. See the crate docs for the
-/// determinism contract; the short version: keys are `BTreeMap`-ordered and
-/// every mutation happens behind `&mut`, so two runs of the same workload
-/// produce identical snapshots regardless of host thread width.
+/// determinism contract; the short version: reads walk a sorted key index
+/// and every mutation happens behind `&mut`, so two runs of the same
+/// workload produce identical snapshots regardless of host thread width.
+///
+/// A series exists from its first record on, whichever API recorded it: a
+/// resolved slot that has recorded nothing appears in no read.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
     enabled: bool,
     bucket: Dur,
-    counters: BTreeMap<MetricKey, u64>,
+    /// `None` until the counter's first add.
+    counters: Table<Option<u64>>,
     gauges: BTreeMap<MetricKey, f64>,
-    histograms: BTreeMap<MetricKey, FixedHistogram>,
-    timelines: BTreeMap<MetricKey, TimeSeries>,
+    /// Bounds are fixed at resolution; a series once it holds an
+    /// observation.
+    histograms: Table<FixedHistogram>,
+    /// `None` until the timeline's first non-degenerate span.
+    timelines: Table<Option<TimeSeries>>,
 }
 
 impl Registry {
@@ -215,13 +291,33 @@ impl Registry {
         self.bucket
     }
 
+    /// The slot of the counter `name{i,j}`. Resolving creates no series;
+    /// on a disabled registry it touches no storage and the slot records
+    /// nothing.
+    pub fn counter_slot(&mut self, name: &'static str, i: u32, j: u32) -> CounterSlot {
+        if !self.enabled {
+            return CounterSlot(0);
+        }
+        CounterSlot(self.counters.resolve(MetricKey { name, i, j }, || None))
+    }
+
+    /// Add `v` to the counter behind `slot`.
+    #[inline]
+    pub fn add_at(&mut self, slot: CounterSlot, v: u64) {
+        if !self.enabled {
+            return;
+        }
+        *self.counters.values[slot.0 as usize].get_or_insert(0) += v;
+    }
+
     /// Add `v` to the counter `name{i,j}`.
     #[inline]
     pub fn add(&mut self, name: &'static str, i: u32, j: u32, v: u64) {
         if !self.enabled {
             return;
         }
-        *self.counters.entry(MetricKey { name, i, j }).or_insert(0) += v;
+        let slot = self.counter_slot(name, i, j);
+        self.add_at(slot, v);
     }
 
     /// Increment the counter `name{i,j}` by one.
@@ -251,9 +347,36 @@ impl Registry {
         }
     }
 
+    /// The slot of the fixed-bucket histogram `name{i,j}` over `bounds`.
+    /// The first resolution fixes the bound set; later ones must pass the
+    /// same slice. Resolving creates no series.
+    pub fn histogram_slot(
+        &mut self,
+        name: &'static str,
+        i: u32,
+        j: u32,
+        bounds: &'static [u64],
+    ) -> HistogramSlot {
+        if !self.enabled {
+            return HistogramSlot(0);
+        }
+        HistogramSlot(
+            self.histograms
+                .resolve(MetricKey { name, i, j }, || FixedHistogram::new(bounds)),
+        )
+    }
+
+    /// Record `value` into the histogram behind `slot`.
+    #[inline]
+    pub fn observe_at(&mut self, slot: HistogramSlot, value: u64) {
+        if !self.enabled {
+            return;
+        }
+        self.histograms.values[slot.0 as usize].record(value);
+    }
+
     /// Record `value` into the fixed-bucket histogram `name{i,j}` over
-    /// `bounds`. The first observation fixes the bound set; later calls
-    /// must pass the same slice.
+    /// `bounds` (see [`Registry::histogram_slot`]).
     #[inline]
     pub fn observe(
         &mut self,
@@ -266,10 +389,8 @@ impl Registry {
         if !self.enabled {
             return;
         }
-        self.histograms
-            .entry(MetricKey { name, i, j })
-            .or_insert_with(|| FixedHistogram::new(bounds))
-            .record(value);
+        let slot = self.histogram_slot(name, i, j, bounds);
+        self.observe_at(slot, value);
     }
 
     /// Like [`Registry::observe`] but carrying a request trace id: the
@@ -288,10 +409,29 @@ impl Registry {
         if !self.enabled {
             return;
         }
-        self.histograms
-            .entry(MetricKey { name, i, j })
-            .or_insert_with(|| FixedHistogram::new(bounds))
-            .record_traced(value, trace_id);
+        let slot = self.histogram_slot(name, i, j, bounds);
+        self.histograms.values[slot.0 as usize].record_traced(value, trace_id);
+    }
+
+    /// The slot of the timeline `name{i,j}`. Resolving creates no series.
+    pub fn timeline_slot(&mut self, name: &'static str, i: u32, j: u32) -> TimelineSlot {
+        if !self.enabled {
+            return TimelineSlot(0);
+        }
+        TimelineSlot(self.timelines.resolve(MetricKey { name, i, j }, || None))
+    }
+
+    /// Deposit the busy interval `[start, end)` into the timeline behind
+    /// `slot` (see [`Registry::span`]).
+    #[inline]
+    pub fn span_at(&mut self, slot: TimelineSlot, start: SimTime, end: SimTime) {
+        if !self.enabled || end <= start {
+            return;
+        }
+        let bucket = self.bucket;
+        self.timelines.values[slot.0 as usize]
+            .get_or_insert_with(|| TimeSeries::new(bucket))
+            .add_spread(start, end, end.since(start).as_ns() as f64);
     }
 
     /// Deposit the busy interval `[start, end)` into the timeline
@@ -304,11 +444,8 @@ impl Registry {
         if !self.enabled || end <= start {
             return;
         }
-        let bucket = self.bucket;
-        self.timelines
-            .entry(MetricKey { name, i, j })
-            .or_insert_with(|| TimeSeries::new(bucket))
-            .add_spread(start, end, end.since(start).as_ns() as f64);
+        let slot = self.timeline_slot(name, i, j);
+        self.span_at(slot, start, end);
     }
 
     /// Current value of a counter (0 if never touched).
@@ -316,6 +453,7 @@ impl Registry {
         self.counters
             .get(&MetricKey { name, i, j })
             .copied()
+            .flatten()
             .unwrap_or(0)
     }
 
@@ -326,12 +464,16 @@ impl Registry {
 
     /// A histogram by key, if it was ever observed into.
     pub fn histogram(&self, name: &'static str, i: u32, j: u32) -> Option<&FixedHistogram> {
-        self.histograms.get(&MetricKey { name, i, j })
+        self.histograms
+            .get(&MetricKey { name, i, j })
+            .filter(|h| h.total() > 0)
     }
 
     /// A busy-time timeline by key, if any span was ever recorded.
     pub fn timeline(&self, name: &'static str, i: u32, j: u32) -> Option<&TimeSeries> {
-        self.timelines.get(&MetricKey { name, i, j })
+        self.timelines
+            .get(&MetricKey { name, i, j })
+            .and_then(Option::as_ref)
     }
 
     /// Iterate all timelines sharing `name`, in label order.
@@ -339,10 +481,24 @@ impl Registry {
         &'a self,
         name: &'static str,
     ) -> impl Iterator<Item = (MetricKey, &'a TimeSeries)> {
+        self.live_timelines().filter(move |(k, _)| k.name == name)
+    }
+
+    /// Every recorded counter, sorted by key.
+    fn live_counters(&self) -> impl Iterator<Item = (MetricKey, u64)> + '_ {
+        self.counters.iter().filter_map(|(k, v)| v.map(|v| (k, v)))
+    }
+
+    /// Every observed histogram, sorted by key.
+    fn live_histograms(&self) -> impl Iterator<Item = (MetricKey, &FixedHistogram)> {
+        self.histograms.iter().filter(|(_, h)| h.total() > 0)
+    }
+
+    /// Every recorded timeline, sorted by key.
+    fn live_timelines(&self) -> impl Iterator<Item = (MetricKey, &TimeSeries)> {
         self.timelines
             .iter()
-            .filter(move |(k, _)| k.name == name)
-            .map(|(k, ts)| (*k, ts))
+            .filter_map(|(k, ts)| ts.as_ref().map(|ts| (k, ts)))
     }
 
     /// Windowed view of everything recorded since `prior` was taken from
@@ -360,23 +516,21 @@ impl Registry {
     /// different bucket width.
     pub fn delta_since(&self, prior: &Snapshot) -> Snapshot {
         let counters = self
-            .counters
-            .iter()
+            .live_counters()
             .map(|(k, v)| {
                 let base = prior
                     .counters
-                    .binary_search_by(|(pk, _)| pk.cmp(k))
+                    .binary_search_by(|(pk, _)| pk.cmp(&k))
                     .map(|idx| prior.counters[idx].1)
                     .unwrap_or(0);
-                (*k, v.saturating_sub(base))
+                (k, v.saturating_sub(base))
             })
             .collect();
         let histograms = self
-            .histograms
-            .iter()
+            .live_histograms()
             .map(|(k, h)| {
                 let mut h = h.clone();
-                if let Ok(idx) = prior.histograms.binary_search_by(|(pk, _)| pk.cmp(k)) {
+                if let Ok(idx) = prior.histograms.binary_search_by(|(pk, _)| pk.cmp(&k)) {
                     let base = &prior.histograms[idx].1;
                     if base.bounds() == h.bounds() {
                         for (c, b) in h.counts.iter_mut().zip(base.counts()) {
@@ -386,19 +540,13 @@ impl Registry {
                         h.sum = h.sum.saturating_sub(base.sum());
                     }
                 }
-                (*k, h)
+                (k, h)
             })
             .collect();
         Snapshot {
-            bucket_ns: self.bucket.as_ns(),
-            counters,
-            gauges: self.gauges.iter().map(|(k, v)| (*k, *v)).collect(),
             histograms,
-            timelines: self
-                .timelines
-                .iter()
-                .map(|(k, ts)| (*k, ts.buckets().to_vec()))
-                .collect(),
+            counters,
+            ..self.snapshot_levels()
         }
     }
 
@@ -406,18 +554,26 @@ impl Registry {
     /// `==` across runs — the unit the determinism tests assert on.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            bucket_ns: self.bucket.as_ns(),
-            counters: self.counters.iter().map(|(k, v)| (*k, *v)).collect(),
-            gauges: self.gauges.iter().map(|(k, v)| (*k, *v)).collect(),
+            counters: self.live_counters().collect(),
             histograms: self
-                .histograms
-                .iter()
-                .map(|(k, h)| (*k, h.clone()))
+                .live_histograms()
+                .map(|(k, h)| (k, h.clone()))
                 .collect(),
+            ..self.snapshot_levels()
+        }
+    }
+
+    /// The bucket width, gauges and timelines: the part of a snapshot that
+    /// [`Registry::delta_since`] carries at its current value.
+    fn snapshot_levels(&self) -> Snapshot {
+        Snapshot {
+            bucket_ns: self.bucket.as_ns(),
+            counters: Vec::new(),
+            gauges: self.gauges.iter().map(|(k, v)| (*k, *v)).collect(),
+            histograms: Vec::new(),
             timelines: self
-                .timelines
-                .iter()
-                .map(|(k, ts)| (*k, ts.buckets().to_vec()))
+                .live_timelines()
+                .map(|(k, ts)| (k, ts.buckets().to_vec()))
                 .collect(),
         }
     }
